@@ -129,19 +129,19 @@ def _run_once(shard_count: int):
     gc.collect()
     gc.disable()
     try:
-        with perf.flags(encode_memo=True, fanout_batch=True):
-            for round_index in range(UPDATES_PER_NEIGHBOR):
-                # One modeled arrival window: every neighbor session
-                # delivers one update "simultaneously", then the engine
-                # drains and merges.
-                for neighbor_index in range(NEIGHBORS):
-                    engine.submit(
-                        neighbors[neighbor_index],
-                        streams[neighbor_index][round_index],
-                    )
-                    total += 1
-                engine.flush()
-                scheduler.run_until(scheduler.now)
+        perf.clear_caches()
+        for round_index in range(UPDATES_PER_NEIGHBOR):
+            # One modeled arrival window: every neighbor session
+            # delivers one update "simultaneously", then the engine
+            # drains and merges.
+            for neighbor_index in range(NEIGHBORS):
+                engine.submit(
+                    neighbors[neighbor_index],
+                    streams[neighbor_index][round_index],
+                )
+                total += 1
+            engine.flush()
+            scheduler.run_until(scheduler.now)
     finally:
         gc.enable()
     elapsed = engine.stats.modeled_elapsed_s
@@ -159,14 +159,7 @@ def _run_sharded(shard_count: int):
     return best
 
 
-# -- the real-backend leg (ISSUE 9) ---------------------------------------
-
-#: Real legs run with the encode memo off so every UPDATE encode is
-#: real work for the workers to parallelise (with the memo on, the
-#: sync reference pays each distinct attribute set once and the
-#: comparison measures cache hits, not scale-out).
-_REAL_FLAGS = dict(encode_memo=False, fanout_batch=True)
-
+# -- the real-backend leg ---------------------------------------------------
 
 def _run_real_sync():
     """The sync reference: serial replay through ``DirectExecutor``,
@@ -181,18 +174,18 @@ def _run_real_sync():
     gc.collect()
     gc.disable()
     try:
-        with perf.flags(**_REAL_FLAGS):
-            started = time.perf_counter()
-            for round_index in range(UPDATES_PER_NEIGHBOR):
-                for neighbor_index in range(NEIGHBORS):
-                    node._process_upstream_changes(
-                        neighbors[neighbor_index],
-                        streams[neighbor_index][round_index],
-                        executor,
-                    )
-                    total += 1
-                scheduler.run_until(scheduler.now)
-            elapsed = time.perf_counter() - started
+        perf.clear_caches()
+        started = time.perf_counter()
+        for round_index in range(UPDATES_PER_NEIGHBOR):
+            for neighbor_index in range(NEIGHBORS):
+                node._process_upstream_changes(
+                    neighbors[neighbor_index],
+                    streams[neighbor_index][round_index],
+                    executor,
+                )
+                total += 1
+            scheduler.run_until(scheduler.now)
+        elapsed = time.perf_counter() - started
     finally:
         gc.enable()
     return total / elapsed if elapsed > 0 else 0.0
@@ -215,18 +208,18 @@ def _run_real_backend(backend: str, shard_count: int):
     gc.collect()
     gc.disable()
     try:
-        with perf.flags(**_REAL_FLAGS):
-            started = time.perf_counter()
-            for round_index in range(UPDATES_PER_NEIGHBOR):
-                for neighbor_index in range(NEIGHBORS):
-                    engine.submit(
-                        neighbors[neighbor_index],
-                        streams[neighbor_index][round_index],
-                    )
-                    total += 1
-                engine.flush()
-                scheduler.run_until(scheduler.now)
-            elapsed = time.perf_counter() - started
+        perf.clear_caches()
+        started = time.perf_counter()
+        for round_index in range(UPDATES_PER_NEIGHBOR):
+            for neighbor_index in range(NEIGHBORS):
+                engine.submit(
+                    neighbors[neighbor_index],
+                    streams[neighbor_index][round_index],
+                )
+                total += 1
+            engine.flush()
+            scheduler.run_until(scheduler.now)
+        elapsed = time.perf_counter() - started
     finally:
         gc.enable()
         engine.close()
@@ -293,7 +286,7 @@ def test_shard_scaleout():
         )
         + f"\n\nshards=4 vs shards=1: {speedup_x4:.2f}x"
         + f"\nshards=8 vs shards=1: {speedup_x8:.2f}x"
-        + "\n\nReal backends (measured wall-clock, encode memo off, "
+        + "\n\nReal backends (measured wall-clock, "
         + f"{cpu_count} CPU core(s) on this runner)\n"
         + format_table(
             ["backend", "updates/s", "vs sync", "jobs dispatched"],

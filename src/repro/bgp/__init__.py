@@ -45,10 +45,8 @@ from repro.bgp.policy import (
 from repro.bgp.rib import (
     AdjRibIn,
     AdjRibOut,
-    ColumnarLocRib,
     LocRib,
     RibEntry,
-    make_loc_rib,
 )
 from repro.bgp.session import BgpSession, SessionConfig, SessionState
 from repro.bgp.speaker import BgpSpeaker, NeighborConfig, SpeakerConfig
@@ -65,7 +63,6 @@ __all__ = [
     "BgpSession",
     "BgpSpeaker",
     "Capability",
-    "ColumnarLocRib",
     "Community",
     "FourOctetAsCapability",
     "GracefulRestartCapability",
@@ -97,6 +94,5 @@ __all__ = [
     "best_path",
     "compare_routes",
     "local_route",
-    "make_loc_rib",
     "originate",
 ]

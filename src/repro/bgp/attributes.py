@@ -252,60 +252,51 @@ class PathAttributes:
         """Fast next-hop rewrite (the datapath's dominant manipulation).
 
         Builds the copy via the constructor directly: ``dataclasses.replace``
-        pays for generic kwargs plumbing on every fan-out.  With the
-        ``encode_memo`` flag on, the rewrite is memoized per target next
-        hop on this (frozen) instance, so repeated fan-outs of a pooled
-        attribute set return the same object — which in turn keeps its
-        cached hash and wire encoding warm downstream.
+        pays for generic kwargs plumbing on every fan-out.  The rewrite is
+        memoized per target next hop on this (frozen) instance, so repeated
+        fan-outs of a pooled attribute set return the same object — which
+        in turn keeps its cached hash and wire encoding warm downstream.
         """
-        if perf.FLAGS.encode_memo:
-            memo = self.__dict__.get("_nh_memo")
-            if memo is None:
-                memo = {}
-                object.__setattr__(self, "_nh_memo", memo)
-            rewritten = memo.get(next_hop)
-            if rewritten is None:
-                rewritten = self._with_next_hop_uncached(next_hop)
-                memo[next_hop] = rewritten
-            return rewritten
-        return self._with_next_hop_uncached(next_hop)
-
-    def _with_next_hop_uncached(
-        self, next_hop: Optional[IPv4Address]
-    ) -> "PathAttributes":
-        return PathAttributes(
-            origin=self.origin,
-            as_path=self.as_path,
-            next_hop=next_hop,
-            med=self.med,
-            local_pref=self.local_pref,
-            atomic_aggregate=self.atomic_aggregate,
-            aggregator=self.aggregator,
-            communities=self.communities,
-            large_communities=self.large_communities,
-            unknown=self.unknown,
-        )
+        memo = self.__dict__.get("_nh_memo")
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_nh_memo", memo)
+        rewritten = memo.get(next_hop)
+        if rewritten is None:
+            rewritten = memo[next_hop] = PathAttributes(
+                origin=self.origin,
+                as_path=self.as_path,
+                next_hop=next_hop,
+                med=self.med,
+                local_pref=self.local_pref,
+                atomic_aggregate=self.atomic_aggregate,
+                aggregator=self.aggregator,
+                communities=self.communities,
+                large_communities=self.large_communities,
+                unknown=self.unknown,
+            )
+        return rewritten
 
 
 # ---------------------------------------------------------------------------
 # Interning pools (Fig. 6a memory): RIBs holding equal attribute sets share
 # one object.  Real-world churn concentrates on a small set of attribute
-# combinations (Krenc et al.), so the pools stay small and hot.
+# combinations (Krenc et al.), so the pools stay small and hot.  Decoded
+# UPDATEs and the Loc-RIB's attribute handles draw from the same pool.
 # ---------------------------------------------------------------------------
 
-_INTERN_POOL_CAP = 16384
+_AS_PATH_POOL_CAP = 16384
+_ATTRIBUTES_POOL_CAP = 65536
 _AS_PATH_POOL: dict[AsPath, AsPath] = {}
 _ATTRIBUTES_POOL: dict[PathAttributes, PathAttributes] = {}
 
 
 def intern_as_path(path: AsPath) -> AsPath:
     """Return the canonical shared instance for an equal ``AsPath``."""
-    if not perf.FLAGS.intern_attrs:
-        return path
     pooled = _AS_PATH_POOL.get(path)
     if pooled is not None:
         return pooled
-    if len(_AS_PATH_POOL) >= _INTERN_POOL_CAP:
+    if len(_AS_PATH_POOL) >= _AS_PATH_POOL_CAP:
         _AS_PATH_POOL.clear()
     _AS_PATH_POOL[path] = path
     return path
@@ -313,12 +304,10 @@ def intern_as_path(path: AsPath) -> AsPath:
 
 def intern_attributes(attributes: PathAttributes) -> PathAttributes:
     """Return the canonical shared instance for equal ``PathAttributes``."""
-    if not perf.FLAGS.intern_attrs:
-        return attributes
     pooled = _ATTRIBUTES_POOL.get(attributes)
     if pooled is not None:
         return pooled
-    if len(_ATTRIBUTES_POOL) >= _INTERN_POOL_CAP:
+    if len(_ATTRIBUTES_POOL) >= _ATTRIBUTES_POOL_CAP:
         _ATTRIBUTES_POOL.clear()
     _ATTRIBUTES_POOL[attributes] = attributes
     return attributes

@@ -451,46 +451,24 @@ class UpdateMessage:
         """Encode to wire bytes; memoized per (message, addpath).
 
         ADD-PATH fan-out sends the *same* UpdateMessage object to E
-        experiment sessions; with the ``encode_memo`` perf flag on, the
-        bytes are computed once.  The cache lives in the (frozen)
-        instance's ``__dict__`` so it is garbage-collected with the
-        message and invisible to ``__eq__``/``__hash__``.
+        experiment sessions, so the bytes are computed once.  The cache
+        lives in the (frozen) instance's ``__dict__`` so it is
+        garbage-collected with the message and invisible to
+        ``__eq__``/``__hash__``.
         """
-        memo = perf.FLAGS.encode_memo
-        if memo:
-            cached = self.__dict__.get("_wire_cache")
-            if cached is not None:
-                wire = cached.get(addpath)
-                if wire is not None:
-                    return wire
-        if perf.FLAGS.encode_zero_copy:
-            wire = self._encode_into_buffer(addpath)
+        cached = self.__dict__.get("_wire_cache")
+        if cached is None:
+            cached = {}
+            object.__setattr__(self, "_wire_cache", cached)
         else:
-            withdrawn = b"".join(
-                [_encode_nlri(prefix, path_id, addpath)
-                 for prefix, path_id in self.withdrawn]
-            )
-            attrs = _encode_attributes(self.attributes) if self.nlri else b""
-            nlri = b"".join(
-                [_encode_nlri(prefix, path_id, addpath)
-                 for prefix, path_id in self.nlri]
-            )
-            body = (
-                struct.pack("!H", len(withdrawn)) + withdrawn
-                + struct.pack("!H", len(attrs)) + attrs
-                + nlri
-            )
-            wire = _wrap(MSG_UPDATE, body)
-        if memo:
-            cached = self.__dict__.get("_wire_cache")
-            if cached is None:
-                cached = {}
-                object.__setattr__(self, "_wire_cache", cached)
-            cached[addpath] = wire
+            wire = cached.get(addpath)
+            if wire is not None:
+                return wire
+        wire = cached[addpath] = self._encode_into_buffer(addpath)
         return wire
 
     def _encode_into_buffer(self, addpath: bool) -> bytes:
-        """Zero-copy batch encode (``encode_zero_copy``; DESIGN.md §6g).
+        """Zero-copy encode (DESIGN.md §6g).
 
         Writes marker, header and both NLRI runs into one reusable
         module-level ``bytearray``, then patches the three length fields
@@ -498,7 +476,7 @@ class UpdateMessage:
         body join.  The buffer's lifecycle is strictly within this call:
         it is reset on entry, and only an immutable ``bytes`` snapshot
         escapes, so re-entrancy aside (the encoder never recurses) the
-        shared buffer is safe.  Byte-identical to the reference path.
+        shared buffer is safe.
         """
         buf = _ENCODE_BUFFER
         del buf[:]
@@ -585,8 +563,8 @@ def _prefix_wire(prefix: IPv4Prefix) -> bytes:
     return bytes([prefix.length]) + prefix.network.packed()[:nbytes]
 
 
-# The reusable zero-copy encode buffer (``encode_zero_copy``).  One
-# module-level bytearray, reset at the start of each UPDATE encode; see
+# The reusable zero-copy encode buffer.  One module-level bytearray,
+# reset at the start of each UPDATE encode; see
 # UpdateMessage._encode_into_buffer for the lifecycle argument.
 _ENCODE_BUFFER = bytearray()
 
@@ -601,43 +579,17 @@ perf.register_cache_clearer(_clear_encode_buffer)
 def _extend_nlri_run(buf: bytearray,
                      pairs: Sequence[tuple[IPv4Prefix, Optional[int]]],
                      addpath: bool) -> None:
-    """Append an NLRI run in place (zero-copy path).
-
-    Shares ``_NLRI_WIRE_CACHE`` with the reference encoder when
-    ``encode_memo`` is on, so the two flags compose.
-    """
-    memo = perf.FLAGS.encode_memo
+    """Append an NLRI run in place, memoizing per-prefix bytes."""
     for prefix, path_id in pairs:
         if addpath:
             buf += struct.pack("!I", path_id or 0)
-        if memo:
-            wire = _NLRI_WIRE_CACHE.get(prefix)
-            if wire is None:
-                if len(_NLRI_WIRE_CACHE) >= _NLRI_WIRE_CACHE_CAP:
-                    _NLRI_WIRE_CACHE.clear()
-                wire = _prefix_wire(prefix)
-                _NLRI_WIRE_CACHE[prefix] = wire
-            buf += wire
-        else:
-            nbytes = (prefix.length + 7) // 8
-            buf.append(prefix.length)
-            buf += prefix.network.packed()[:nbytes]
-
-
-def _encode_nlri(prefix: IPv4Prefix, path_id: Optional[int],
-                 addpath: bool) -> bytes:
-    if perf.FLAGS.encode_memo:
         wire = _NLRI_WIRE_CACHE.get(prefix)
         if wire is None:
             if len(_NLRI_WIRE_CACHE) >= _NLRI_WIRE_CACHE_CAP:
                 _NLRI_WIRE_CACHE.clear()
             wire = _prefix_wire(prefix)
             _NLRI_WIRE_CACHE[prefix] = wire
-    else:
-        wire = _prefix_wire(prefix)
-    if addpath:
-        return struct.pack("!I", path_id or 0) + wire
-    return wire
+        buf += wire
 
 
 def _decode_nlri_block(
@@ -713,15 +665,12 @@ perf.register_cache_clearer(_clear_wire_caches)
 def _encode_attributes(attributes: Optional[PathAttributes]) -> bytes:
     if attributes is None:
         return b""
-    if perf.FLAGS.encode_memo:
-        cached = _ATTR_WIRE_CACHE.get(attributes)
-        if cached is not None:
-            return cached
-    out = _encode_attributes_uncached(attributes)
-    if perf.FLAGS.encode_memo:
-        if len(_ATTR_WIRE_CACHE) >= _ATTR_WIRE_CACHE_CAP:
-            _ATTR_WIRE_CACHE.clear()
-        _ATTR_WIRE_CACHE[attributes] = out
+    cached = _ATTR_WIRE_CACHE.get(attributes)
+    if cached is not None:
+        return cached
+    if len(_ATTR_WIRE_CACHE) >= _ATTR_WIRE_CACHE_CAP:
+        _ATTR_WIRE_CACHE.clear()
+    out = _ATTR_WIRE_CACHE[attributes] = _encode_attributes_uncached(attributes)
     return out
 
 
@@ -908,8 +857,8 @@ def _decode_attributes(data: bytes) -> PathAttributes:
             unknown.append(
                 UnknownAttribute(type_code=type_code, flags=flags, value=value)
             )
-    # Interning (perf flag ``intern_attrs``): every RIB holding this
-    # attribute set shares one object (Fig. 6a memory), and downstream
+    # Interning: every RIB holding this attribute set shares one object
+    # (Fig. 6a memory), and downstream
     # encode memoization hits on the pooled instance's hash.
     return intern_attributes(PathAttributes(
         origin=origin,

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from repro import perf
-from repro.bgp.attributes import PathAttributes, Route
+from repro.bgp.attributes import PathAttributes, Route, intern_attributes
 from repro.netsim.addr import Prefix
 
 
@@ -96,114 +95,198 @@ class LocRibStats:
     removals: int = 0
 
 
-# Flyweight pool for Loc-RIB attribute values (DESIGN.md §6g).  Unlike the
-# decode-side intern pools in :mod:`repro.bgp.attributes` (gated on
-# ``intern_attrs``), this one backs the columnar storage layout itself: the
-# per-RIB handle tables key by attribute *equality*, so the pool only decides
-# which equal object is retained, never which handle a value maps to.  That
-# makes clearing it safe at any time — required for perf.clear_caches().
-_RIB_ATTR_POOL: dict[PathAttributes, PathAttributes] = {}
-_RIB_ATTR_POOL_CAP = 65536
+class LocRib:
+    """Candidate routes per prefix across all peers, plus the best path.
 
+    Columnar/flyweight storage (DESIGN.md §6g): instead of one
+    ``RibEntry``/``Route`` object pair per stored candidate (~300 bytes
+    each before attribute sharing), each prefix maps to a flat tuple of
+    ``(peer id, path id, attr handle)`` int triples in insertion order.  A
+    replaced candidate moves to the end, so order-sensitive tie-breaking
+    in ``select`` sees the list semantics of a plain candidate list.
+    ``RibEntry`` objects are materialized on demand from the columns;
+    callers never observe the packed layout.
 
-def _canonical_attributes(attrs: PathAttributes) -> PathAttributes:
-    pooled = _RIB_ATTR_POOL.get(attrs)
-    if pooled is None:
-        if len(_RIB_ATTR_POOL) >= _RIB_ATTR_POOL_CAP:
-            _RIB_ATTR_POOL.clear()
-        _RIB_ATTR_POOL[attrs] = attrs
-        pooled = attrs
-    return pooled
-
-
-perf.register_cache_clearer(_RIB_ATTR_POOL.clear)
-
-
-class _LocRibBase:
-    """Shared Loc-RIB logic over two storage backends (DESIGN.md §6g).
-
-    Subclasses provide the candidate storage via *token* hooks: a token is
-    whatever compact value the backend uses to name one stored candidate
-    (the ``RibEntry`` itself for the dict backend, a packed int triple for
-    the columnar backend).  The best path per prefix is tracked as a token
-    and materialized on demand.
+    Peers and attribute values are interned per RIB.  Attribute handles
+    key by *equality*, so equal attributes always share one handle and a
+    best-change check is plain triple comparison — exactly
+    ``peer == peer and route == route``.  Handles are reference-counted by
+    the candidates using them: the last withdrawal of an attribute set
+    frees its handle and the slot is reused, so attribute churn (MED flaps,
+    community rewrites) cannot grow the RIB.  ``path id`` ``None`` is
+    encoded as ``-1`` (wire path ids are unsigned, so the sentinel cannot
+    collide with a real id, including the valid path id ``0``).
 
     ``select`` contract: the callable must behave as a deterministic left
     fold over the candidate list (RFC 4271 §9.1 style — start at the first
     entry, compare each later entry against the running winner) and must
     return one of the given entries for a non-empty list.  Both selects in
     this codebase (:func:`repro.bgp.decision.best_path` and the speaker's
-    local-route-first wrapper) satisfy this.  The ``incremental_bestpath``
-    fast paths rely on it: extending a fold by one appended candidate
-    equals folding the incumbent with that candidate, so a brand-new
-    insert only needs a two-entry select.  Removals and in-place
-    replacements of one of several candidates re-run the full fold —
-    MED comparison is non-transitive (RFC 4271 §9.1.2.2 note), so
-    dropping even a losing candidate can legitimately change the fold
-    result, and any shortcut there would diverge from the reference.
+    local-route-first wrapper) satisfy this.  Best-path tracking relies on
+    it: extending a fold by one appended candidate equals folding the
+    incumbent with that candidate, so a brand-new insert only needs a
+    two-entry select.  Removals and in-place replacements of one of
+    several candidates re-run the full fold (:meth:`_refold`) — MED
+    comparison is non-transitive (RFC 4271 §9.1.2.2 note), so dropping
+    even a losing candidate can legitimately change the fold result.
     """
 
     def __init__(
         self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
     ) -> None:
         self._select = select
-        self._best_tokens: dict[Prefix, object] = {}
+        self._best_tokens: dict[Prefix, tuple[int, int, int]] = {}
         self.stats = LocRibStats()
-
-    # -- storage hooks -----------------------------------------------------
-
-    def _upsert(self, prefix: Prefix, peer: str, path_id: Optional[int],
-                route: Route) -> tuple[bool, object]:
-        """Insert/replace (replacement moves to the end); returns
-        ``(existed, token)``."""
-        raise NotImplementedError
-
-    def _delete(self, prefix: Prefix, peer: str,
-                path_id: Optional[int]) -> bool:
-        raise NotImplementedError
-
-    def _delete_peer(self, prefix: Prefix, peer: str) -> int:
-        """Remove all of a peer's candidates for one prefix; returns count."""
-        raise NotImplementedError
-
-    def _count(self, prefix: Prefix) -> int:
-        raise NotImplementedError
-
-    def _sole_token(self, prefix: Prefix) -> object:
-        """The token of the single remaining candidate (count == 1)."""
-        raise NotImplementedError
-
-    def _pairs(self, prefix: Prefix) -> list[tuple[RibEntry, object]]:
-        """Materialized ``(entry, token)`` pairs in insertion order."""
-        raise NotImplementedError
-
-    def _materialize(self, prefix: Prefix, token: object) -> RibEntry:
-        raise NotImplementedError
-
-    def _tokens_equal(self, a: object, b: object) -> bool:
-        """Same-best check; must match the reference's
-        ``peer == peer and route == route`` comparison."""
-        raise NotImplementedError
-
-    # -- public API --------------------------------------------------------
+        self._cols: dict[Prefix, tuple[int, ...]] = {}
+        self._peer_ids: dict[str, int] = {}
+        self._peer_names: list[str] = []
+        self._attr_handles: dict[PathAttributes, int] = {}
+        self._attr_values: list[Optional[PathAttributes]] = []
+        self._attr_refs: list[int] = []
+        self._free_handles: list[int] = []
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return sum(len(cols) for cols in self._cols.values()) // 3
 
     @property
     def prefix_count(self) -> int:
-        raise NotImplementedError
+        return len(self._cols)
 
     def prefixes(self) -> Iterator[Prefix]:
-        raise NotImplementedError
+        yield from self._cols
+
+    # -- interning -----------------------------------------------------------
+
+    def _peer_id(self, peer: str) -> int:
+        pid = self._peer_ids.get(peer)
+        if pid is None:
+            pid = len(self._peer_names)
+            self._peer_ids[peer] = pid
+            self._peer_names.append(peer)
+        return pid
+
+    def _attr_handle(self, attrs: PathAttributes) -> int:
+        """Take one reference on the handle for ``attrs``."""
+        handle = self._attr_handles.get(attrs)
+        if handle is not None:
+            self._attr_refs[handle] += 1
+            return handle
+        attrs = intern_attributes(attrs)
+        if self._free_handles:
+            handle = self._free_handles.pop()
+            self._attr_values[handle] = attrs
+            self._attr_refs[handle] = 1
+        else:
+            handle = len(self._attr_values)
+            self._attr_values.append(attrs)
+            self._attr_refs.append(1)
+        self._attr_handles[attrs] = handle
+        return handle
+
+    def _release(self, handle: int) -> None:
+        """Drop one reference; frees the handle slot at zero."""
+        self._attr_refs[handle] -= 1
+        if not self._attr_refs[handle]:
+            del self._attr_handles[self._attr_values[handle]]
+            self._attr_values[handle] = None
+            self._free_handles.append(handle)
+
+    # -- column storage ------------------------------------------------------
+
+    def _upsert(self, prefix: Prefix, peer: str, path_id: Optional[int],
+                route: Route) -> tuple[bool, tuple[int, int, int]]:
+        """Insert/replace (replacement moves to the end); returns
+        ``(existed, token)``."""
+        pid = self._peer_id(peer)
+        code = -1 if path_id is None else path_id
+        triple = (pid, code, self._attr_handle(route.attributes))
+        cols = self._cols.get(prefix)
+        if cols is None:
+            self._cols[prefix] = triple
+            return False, triple
+        for i in range(0, len(cols), 3):
+            if cols[i] == pid and cols[i + 1] == code:
+                self._release(cols[i + 2])
+                self._cols[prefix] = cols[:i] + cols[i + 3:] + triple
+                return True, triple
+        self._cols[prefix] = cols + triple
+        return False, triple
+
+    def _delete(self, prefix: Prefix, peer: str,
+                path_id: Optional[int]) -> bool:
+        cols = self._cols.get(prefix)
+        if cols is None:
+            return False
+        pid = self._peer_ids.get(peer)
+        if pid is None:
+            return False
+        code = -1 if path_id is None else path_id
+        for i in range(0, len(cols), 3):
+            if cols[i] == pid and cols[i + 1] == code:
+                self._release(cols[i + 2])
+                rest = cols[:i] + cols[i + 3:]
+                if rest:
+                    self._cols[prefix] = rest
+                else:
+                    del self._cols[prefix]
+                return True
+        return False
+
+    def _delete_peer(self, prefix: Prefix, peer: str) -> int:
+        """Remove all of a peer's candidates for one prefix; returns count."""
+        pid = self._peer_ids.get(peer)
+        if pid is None:
+            return 0
+        cols = self._cols.get(prefix)
+        if cols is None:
+            return 0
+        kept: list[int] = []
+        for i in range(0, len(cols), 3):
+            if cols[i] == pid:
+                self._release(cols[i + 2])
+            else:
+                kept.extend(cols[i:i + 3])
+        dropped = (len(cols) - len(kept)) // 3
+        if not dropped:
+            return 0
+        if kept:
+            self._cols[prefix] = tuple(kept)
+        else:
+            del self._cols[prefix]
+        return dropped
+
+    def _count(self, prefix: Prefix) -> int:
+        cols = self._cols.get(prefix)
+        return len(cols) // 3 if cols else 0
+
+    def _pairs(self, prefix: Prefix) -> list[tuple[RibEntry, tuple]]:
+        """Materialized ``(entry, token)`` pairs in insertion order."""
+        cols = self._cols.get(prefix)
+        if not cols:
+            return []
+        return [
+            (self._materialize(prefix, cols[i:i + 3]), cols[i:i + 3])
+            for i in range(0, len(cols), 3)
+        ]
+
+    def _materialize(self, prefix: Prefix, token: tuple) -> RibEntry:
+        pid, code, handle = token
+        return RibEntry(
+            peer=self._peer_names[pid],
+            route=Route(
+                prefix=prefix,
+                attributes=self._attr_values[handle],
+                path_id=None if code == -1 else code,
+            ),
+        )
+
+    # -- public API --------------------------------------------------------
 
     def replace(self, peer: str, route: Route) -> bool:
         """Upsert a peer's candidate; returns True if the best changed."""
         prefix = route.prefix
         existed, token = self._upsert(prefix, peer, route.path_id, route)
         self.stats.inserts += 1
-        if not perf.FLAGS.incremental_bestpath:
-            return self._reselect(prefix)
         self.stats.reselects += 1
         old_token = self._best_tokens.get(prefix)
         if self._count(prefix) == 1:
@@ -227,8 +310,6 @@ class _LocRibBase:
         if not self._delete(prefix, peer, path_id):
             return False
         self.stats.removals += 1
-        if not perf.FLAGS.incremental_bestpath:
-            return self._reselect(prefix)
         self.stats.reselects += 1
         return self._reselect_after_removal(prefix)
 
@@ -240,30 +321,22 @@ class _LocRibBase:
             if not dropped:
                 continue
             self.stats.removals += dropped
-            if perf.FLAGS.incremental_bestpath:
-                self.stats.reselects += 1
-                if self._reselect_after_removal(prefix):
-                    changed.append(prefix)
-            elif self._reselect(prefix):
+            self.stats.reselects += 1
+            if self._reselect_after_removal(prefix):
                 changed.append(prefix)
         return changed
 
     def _reselect_after_removal(self, prefix: Prefix) -> bool:
-        count = self._count(prefix)
+        cols = self._cols.get(prefix)
         old_token = self._best_tokens.get(prefix)
-        if count == 0:
+        if cols is None:
             return self._commit_best(prefix, old_token, None)
-        if count == 1:
-            return self._commit_best(
-                prefix, old_token, self._sole_token(prefix))
-        return self._refold(prefix)
-
-    def _reselect(self, prefix: Prefix) -> bool:
-        self.stats.reselects += 1
+        if len(cols) == 3:
+            return self._commit_best(prefix, old_token, cols)
         return self._refold(prefix)
 
     def _refold(self, prefix: Prefix) -> bool:
-        """Reference reselect: full decision fold over every candidate."""
+        """Exact reselect: full decision fold over every candidate."""
         pairs = self._pairs(prefix)
         old_token = self._best_tokens.get(prefix)
         new_token = None
@@ -276,15 +349,15 @@ class _LocRibBase:
                         break
         return self._commit_best(prefix, old_token, new_token)
 
-    def _commit_best(self, prefix: Prefix, old_token: object,
-                     new_token: object) -> bool:
+    def _commit_best(self, prefix: Prefix, old_token: Optional[tuple],
+                     new_token: Optional[tuple]) -> bool:
         if new_token is None:
             if old_token is not None:
                 del self._best_tokens[prefix]
                 self.stats.best_changes += 1
                 return True
             return False
-        if old_token is not None and self._tokens_equal(old_token, new_token):
+        if old_token == new_token:
             return False
         self._best_tokens[prefix] = new_token
         self.stats.best_changes += 1
@@ -300,246 +373,6 @@ class _LocRibBase:
     def best_routes(self) -> Iterator[RibEntry]:
         for prefix, token in self._best_tokens.items():
             yield self._materialize(prefix, token)
-
-
-class LocRib(_LocRibBase):
-    """Candidate routes per prefix across all peers, plus the best path.
-
-    The dict-backed reference layout: candidates are keyed by
-    ``(peer, path id)`` per prefix so upsert and withdrawal are O(1) dict
-    operations instead of candidate-list scans (those scans dominated
-    withdrawal processing on full tables).  Insertion order is preserved —
-    a replaced candidate moves to the end, matching the behaviour of the
-    list-based implementation it replaces — so order-sensitive tie-breaking
-    in ``select`` is unchanged.
-
-    A best-path token in this backend is the stored :class:`RibEntry`
-    itself.  See :func:`make_loc_rib` for the columnar alternative.
-    """
-
-    def __init__(
-        self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
-    ) -> None:
-        super().__init__(select)
-        self._candidates: dict[
-            Prefix, dict[tuple[str, Optional[int]], RibEntry]
-        ] = {}
-
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._candidates.values())
-
-    @property
-    def prefix_count(self) -> int:
-        return len(self._candidates)
-
-    def prefixes(self) -> Iterator[Prefix]:
-        yield from self._candidates
-
-    def _upsert(self, prefix, peer, path_id, route):
-        entries = self._candidates.setdefault(prefix, {})
-        key = (peer, path_id)
-        # pop-then-set keeps list semantics: a replacement moves to the end.
-        existed = entries.pop(key, None) is not None
-        entry = RibEntry(peer=peer, route=route)
-        entries[key] = entry
-        return existed, entry
-
-    def _delete(self, prefix, peer, path_id):
-        entries = self._candidates.get(prefix)
-        if entries is None:
-            return False
-        if entries.pop((peer, path_id), None) is None:
-            return False
-        if not entries:
-            del self._candidates[prefix]
-        return True
-
-    def _delete_peer(self, prefix, peer):
-        entries = self._candidates.get(prefix)
-        if entries is None:
-            return 0
-        stale = [key for key in entries if key[0] == peer]
-        for key in stale:
-            del entries[key]
-        if not entries:
-            del self._candidates[prefix]
-        return len(stale)
-
-    def _count(self, prefix):
-        entries = self._candidates.get(prefix)
-        return len(entries) if entries else 0
-
-    def _sole_token(self, prefix):
-        return next(iter(self._candidates[prefix].values()))
-
-    def _pairs(self, prefix):
-        entries = self._candidates.get(prefix)
-        if not entries:
-            return []
-        return [(entry, entry) for entry in entries.values()]
-
-    def _materialize(self, prefix, token):
-        return token
-
-    def _tokens_equal(self, a, b):
-        return a.peer == b.peer and a.route == b.route
-
-    def candidates(self, prefix: Prefix) -> list[RibEntry]:
-        entries = self._candidates.get(prefix)
-        return list(entries.values()) if entries else []
-
-
-class ColumnarLocRib(_LocRibBase):
-    """Columnar/flyweight Loc-RIB storage (``rib_columnar``; DESIGN.md §6g).
-
-    Instead of one ``RibEntry``/``Route`` object pair per stored candidate
-    (~300 bytes each before attribute sharing), each prefix maps to a flat
-    tuple of ``(peer id, path id, attr handle)`` int triples in insertion
-    order.  Peers and attribute values are interned per RIB: the handle
-    tables key by *equality*, so equal attributes always share one handle
-    and a best-change check is plain triple comparison — exactly the
-    reference's ``peer == peer and route == route``.  ``RibEntry`` objects
-    are materialized on demand from the columns; callers never observe the
-    packed layout.
-
-    ``path id`` ``None`` is encoded as ``-1`` (wire path ids are unsigned,
-    so the sentinel cannot collide with a real id, including the valid
-    path id ``0``).
-    """
-
-    def __init__(
-        self, select: Callable[[list[RibEntry]], Optional[RibEntry]]
-    ) -> None:
-        super().__init__(select)
-        self._cols: dict[Prefix, tuple[int, ...]] = {}
-        self._peer_ids: dict[str, int] = {}
-        self._peer_names: list[str] = []
-        self._attr_handles: dict[PathAttributes, int] = {}
-        self._attr_values: list[PathAttributes] = []
-
-    def __len__(self) -> int:
-        return sum(len(cols) for cols in self._cols.values()) // 3
-
-    @property
-    def prefix_count(self) -> int:
-        return len(self._cols)
-
-    def prefixes(self) -> Iterator[Prefix]:
-        yield from self._cols
-
-    def _peer_id(self, peer: str) -> int:
-        pid = self._peer_ids.get(peer)
-        if pid is None:
-            pid = len(self._peer_names)
-            self._peer_ids[peer] = pid
-            self._peer_names.append(peer)
-        return pid
-
-    def _attr_handle(self, attrs: PathAttributes) -> int:
-        handle = self._attr_handles.get(attrs)
-        if handle is None:
-            attrs = _canonical_attributes(attrs)
-            handle = len(self._attr_values)
-            self._attr_handles[attrs] = handle
-            self._attr_values.append(attrs)
-        return handle
-
-    def _upsert(self, prefix, peer, path_id, route):
-        pid = self._peer_id(peer)
-        code = -1 if path_id is None else path_id
-        handle = self._attr_handle(route.attributes)
-        triple = (pid, code, handle)
-        cols = self._cols.get(prefix)
-        if cols is None:
-            self._cols[prefix] = triple
-            return False, triple
-        for i in range(0, len(cols), 3):
-            if cols[i] == pid and cols[i + 1] == code:
-                # pop-then-append: a replacement moves to the end.
-                self._cols[prefix] = cols[:i] + cols[i + 3:] + triple
-                return True, triple
-        self._cols[prefix] = cols + triple
-        return False, triple
-
-    def _delete(self, prefix, peer, path_id):
-        cols = self._cols.get(prefix)
-        if cols is None:
-            return False
-        pid = self._peer_ids.get(peer)
-        if pid is None:
-            return False
-        code = -1 if path_id is None else path_id
-        for i in range(0, len(cols), 3):
-            if cols[i] == pid and cols[i + 1] == code:
-                rest = cols[:i] + cols[i + 3:]
-                if rest:
-                    self._cols[prefix] = rest
-                else:
-                    del self._cols[prefix]
-                return True
-        return False
-
-    def _delete_peer(self, prefix, peer):
-        pid = self._peer_ids.get(peer)
-        if pid is None:
-            return 0
-        cols = self._cols.get(prefix)
-        if cols is None:
-            return 0
-        kept = tuple(
-            value
-            for i in range(0, len(cols), 3) if cols[i] != pid
-            for value in cols[i:i + 3]
-        )
-        dropped = (len(cols) - len(kept)) // 3
-        if not dropped:
-            return 0
-        if kept:
-            self._cols[prefix] = kept
-        else:
-            del self._cols[prefix]
-        return dropped
-
-    def _count(self, prefix):
-        cols = self._cols.get(prefix)
-        return len(cols) // 3 if cols else 0
-
-    def _sole_token(self, prefix):
-        return self._cols[prefix]
-
-    def _pairs(self, prefix):
-        cols = self._cols.get(prefix)
-        if not cols:
-            return []
-        return [
-            (self._materialize(prefix, cols[i:i + 3]), cols[i:i + 3])
-            for i in range(0, len(cols), 3)
-        ]
-
-    def _materialize(self, prefix, token):
-        pid, code, handle = token
-        return RibEntry(
-            peer=self._peer_names[pid],
-            route=Route(
-                prefix=prefix,
-                attributes=self._attr_values[handle],
-                path_id=None if code == -1 else code,
-            ),
-        )
-
-    def _tokens_equal(self, a, b):
-        return a == b
-
-
-def make_loc_rib(
-    select: Callable[[list[RibEntry]], Optional[RibEntry]],
-) -> _LocRibBase:
-    """Build a Loc-RIB; the storage backend is chosen at construction time
-    by ``perf.FLAGS.rib_columnar`` (like the ``stride_lpm`` backend choice
-    in :class:`repro.netsim.lpm.LpmTable`)."""
-    if perf.FLAGS.rib_columnar:
-        return ColumnarLocRib(select)
-    return LocRib(select)
 
 
 class AdjRibOut:

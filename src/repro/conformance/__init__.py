@@ -10,9 +10,9 @@ Three machine-checked correctness surfaces (DESIGN.md §6e):
   the wire decoder with a persistent crash corpus under ``tests/corpus/``
   that is replayed before new mutations;
 * :mod:`repro.conformance.differential` — replays a generated update
-  workload through every :mod:`repro.perf` toggle combination and
-  asserts byte-identical Loc-RIBs, kernel tables, and announced wire
-  bytes against the all-off reference;
+  workload through a PoP and digests its Loc-RIBs, kernel tables, and
+  announced wire bytes: pinned by golden fingerprints, and compared
+  byte-for-byte across shard counts and execution backends;
 * :mod:`repro.conformance.invariants` — the platform invariant catalog
   (next-hop/virtual-MAC bijectivity, ADD-PATH completeness, community
   propagation, cross-experiment isolation, RIB/kernel consistency) as
@@ -23,7 +23,6 @@ Three machine-checked correctness surfaces (DESIGN.md §6e):
 from repro.conformance.differential import (
     DifferentialHarness,
     DifferentialReport,
-    all_flag_combinations,
 )
 from repro.conformance.fuzzer import (
     CrashRecord,
@@ -48,7 +47,6 @@ __all__ = [
     "DifferentialReport",
     "FuzzReport",
     "InvariantReport",
-    "all_flag_combinations",
     "default_corpus_dir",
     "load_corpus",
     "run_invariants",

@@ -1,12 +1,9 @@
-"""Differential correctness of the :mod:`repro.perf` fast paths.
+"""Differential correctness of the vBGP pipeline.
 
-PR 1 gated every optimisation behind a flag and promised that toggling
-any of them changes *speed, never results*.  This module turns that
-promise into a machine-checked property: :class:`DifferentialHarness`
-replays one seeded churn workload — plus two experiment-announcement
-checkpoints exercising the §3.2.1 control communities — through **every**
-combination of the perf toggles and compares each run against the
-all-flags-off reference:
+:class:`DifferentialHarness` replays one seeded workload — plus two
+experiment-announcement checkpoints exercising the §3.2.1 control
+communities — through a single PoP and canonicalises everything it
+produced:
 
 * the experiment client's Loc-RIB (every candidate path + the best
   path, per prefix),
@@ -14,21 +11,29 @@ all-flags-off reference:
 * the vBGP node's per-neighbor Adj-RIB-In and the kernel routing
   tables (the §5 table-per-neighbor state),
 * the node's route-churn counters, and
-* the *announced wire bytes* in both directions.  ``fanout_batch``
-  legitimately changes UPDATE packing, so raw frame bytes are compared
-  within groups sharing that toggle, while the decoded per-route change
-  stream must be identical across **all** combinations.
+* the *announced wire bytes* in both directions, raw and as a decoded
+  per-route change stream.
+
+Two kinds of proof use that run:
+
+* :meth:`DifferentialHarness.fingerprint` digests the five canonical
+  streams.  The test suite and CI pin them against golden values, so any
+  change to the pipeline that alters a Loc-RIB, a kernel table or a
+  single emitted byte is caught.
+* :meth:`~DifferentialHarness.run_shards` and
+  :meth:`~DifferentialHarness.run_backends` replay the workload under
+  several scale-out configurations and compare each run against the
+  unsharded sync reference.
 
 Everything is canonicalised to bytes before comparison, so a report's
-``mismatches`` genuinely means "the fast path computed something
+``mismatches`` genuinely means "the pipeline computed something
 different", not "a set iterated in a different order".
 """
 
 from __future__ import annotations
 
-import itertools
-import random
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from repro import perf
@@ -55,26 +60,10 @@ __all__ = [
     "DifferentialHarness",
     "DifferentialReport",
     "SHARD_COUNTS",
-    "all_flag_combinations",
     "attr_fingerprint",
     "loc_rib_snapshot",
     "route_fingerprint",
-    "subsampled_flag_combinations",
 ]
-
-#: The boolean fast-path toggles (``lpm_cache_size`` is a tuning knob,
-#: not a behaviour switch, and stays at its default).  The last three are
-#: the full-table RIB engine (DESIGN.md §6g).
-TOGGLES: Tuple[str, ...] = (
-    "stride_lpm",
-    "lpm_cache",
-    "encode_memo",
-    "intern_attrs",
-    "fanout_batch",
-    "rib_columnar",
-    "incremental_bestpath",
-    "encode_zero_copy",
-)
 
 #: The shard counts the scale-out sweep proves equivalent (ISSUE 5 /
 #: DESIGN.md §6f); ``1`` is the unsharded direct-path reference.
@@ -90,48 +79,6 @@ UPSTREAM_ASN = 65010
 EXPERIMENT_PREFIX = "184.164.224.0/24"
 TUNNEL_IP = "100.125.0.2"
 TUNNEL_MAC = "02:aa:00:00:00:02"
-
-
-def all_flag_combinations() -> List[Dict[str, bool]]:
-    """Every perf-toggle combination, the all-off reference first."""
-    combos = []
-    for values in itertools.product((False, True), repeat=len(TOGGLES)):
-        combos.append(dict(zip(TOGGLES, values)))
-    return combos
-
-
-def subsampled_flag_combinations(
-    count: int, seed: int = 0
-) -> List[Dict[str, bool]]:
-    """A curated subset of the flag lattice (reference always first).
-
-    With eight toggles the full lattice is 256 combinations — too many
-    to replay a large workload through each.  The subsample keeps the
-    high-signal corners deterministically: the all-off reference, every
-    single-flag-on combination (isolating each fast path), all-on (the
-    shipping configuration), then fills up to ``count`` with seeded
-    random interior points so repeated CI runs cover the same lattice
-    sample.
-    """
-    combos: List[Dict[str, bool]] = [{name: False for name in TOGGLES}]
-    for name in TOGGLES:
-        combos.append({**combos[0], name: True})
-    combos.append({name: True for name in TOGGLES})
-    rng = random.Random(seed)
-    seen = {tuple(sorted(c.items())) for c in combos}
-    while len(combos) < count:
-        combo = {name: rng.random() < 0.5 for name in TOGGLES}
-        key = tuple(sorted(combo.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        combos.append(combo)
-    return combos[:max(count, 1)]
-
-
-def combo_label(combo: Dict[str, bool]) -> str:
-    on = [name for name in TOGGLES if combo.get(name)]
-    return "+".join(on) if on else "all_off"
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +201,7 @@ WireTap = _WireTap
 
 
 # ---------------------------------------------------------------------------
-# The scenario (one run under one flag combination)
+# The scenario (one run under the current scale-out knobs)
 # ---------------------------------------------------------------------------
 
 
@@ -265,7 +212,7 @@ class _RunResult:
     structural: bytes  # must match the reference byte-for-byte
     changes_to_experiment: bytes  # decoded change stream, order-free
     changes_to_upstream: bytes
-    wire_to_experiment: bytes  # raw frames; compared per fanout group
+    wire_to_experiment: bytes  # raw UPDATE frames, in arrival order
     wire_to_upstream: bytes
 
 
@@ -275,7 +222,7 @@ class DifferentialReport:
 
     combinations: int = 0
     updates: int = 0
-    mode: str = "flag"  # "flag" | "shard" | "backend"
+    mode: str = "shard"  # "shard" | "backend"
     workload: str = "churn"  # "churn" | "fulltable"
     mismatches: List[str] = field(default_factory=list)
 
@@ -299,12 +246,13 @@ class DifferentialReport:
 
 
 class DifferentialHarness:
-    """Replays one workload under every perf-flag combination.
+    """Replays one seeded workload through a PoP and canonicalises it.
 
     ``update_count`` sizes the churn workload (the CI gate uses 5000);
-    ``seed`` makes the workload reproducible.  :meth:`run` returns a
-    :class:`DifferentialReport`; a non-empty ``mismatches`` list means a
-    fast path changed functional output.
+    ``seed`` makes the workload reproducible.  :meth:`fingerprint`
+    digests one run; :meth:`run_shards` and :meth:`run_backends` return a
+    :class:`DifferentialReport` whose non-empty ``mismatches`` list means
+    a scale-out configuration changed functional output.
 
     ``workload`` selects the replayed stream: ``"churn"`` (the default,
     a seeded AMS-IX-shaped update process over ``prefix_count``
@@ -455,70 +403,23 @@ class DifferentialHarness:
             wire_to_upstream=b"".join(upstream_tap.frames),
         )
 
-    # -- sweep -------------------------------------------------------------
+    # -- golden digests ----------------------------------------------------
 
-    def run(self, combinations: Optional[List[Dict[str, bool]]] = None,
-            progress=None,
-            subsample: Optional[int] = None) -> DifferentialReport:
-        """Run the sweep; ``progress(label)`` is called per combination.
+    def fingerprint(self) -> Dict[str, str]:
+        """SHA-256 hex digest of each canonical stream of one run.
 
-        ``subsample`` picks a curated lattice subset (see
-        :func:`subsampled_flag_combinations`) instead of all
-        ``2**len(TOGGLES)`` combinations; ignored when an explicit
-        ``combinations`` list is given.
+        Keys are the :class:`_RunResult` field names.  Process-wide
+        caches are cleared first, so the digests do not depend on what
+        ran earlier in the same process.
         """
-        if combinations is not None:
-            combos = list(combinations)
-        elif subsample is not None:
-            combos = subsampled_flag_combinations(subsample, seed=self.seed)
-        else:
-            combos = all_flag_combinations()
-        report = DifferentialReport(
-            combinations=len(combos), updates=self.update_count,
-            workload=self.workload,
-        )
-        reference: Optional[_RunResult] = None
-        wire_reference: Dict[bool, Tuple[str, _RunResult]] = {}
-        for combo in combos:
-            label = combo_label(combo)
-            if progress is not None:
-                progress(label)
-            with perf.flags(**combo):
-                result = self._run_scenario()
-            if reference is None:
-                reference = result
-            else:
-                for attribute, what in (
-                    ("structural", "Loc-RIB/kernel/counter state"),
-                    ("changes_to_experiment",
-                     "decoded route changes toward the experiment"),
-                    ("changes_to_upstream",
-                     "decoded route changes toward the upstream"),
-                ):
-                    if getattr(result, attribute) != getattr(
-                        reference, attribute
-                    ):
-                        report.mismatches.append(
-                            f"{label}: {what} diverged from all_off"
-                        )
-            batching = bool(combo.get("fanout_batch"))
-            anchor = wire_reference.get(batching)
-            if anchor is None:
-                wire_reference[batching] = (label, result)
-            else:
-                anchor_label, anchor_result = anchor
-                for attribute, what in (
-                    ("wire_to_experiment", "experiment-bound wire bytes"),
-                    ("wire_to_upstream", "upstream-bound wire bytes"),
-                ):
-                    if getattr(result, attribute) != getattr(
-                        anchor_result, attribute
-                    ):
-                        report.mismatches.append(
-                            f"{label}: {what} diverged from "
-                            f"{anchor_label} (same fanout_batch)"
-                        )
-        return report
+        perf.clear_caches()
+        result = self._run_scenario()
+        return {
+            item.name: hashlib.sha256(getattr(result, item.name)).hexdigest()
+            for item in fields(result)
+        }
+
+    # -- sweeps ------------------------------------------------------------
 
     def run_shards(
         self,
@@ -535,8 +436,8 @@ class DifferentialHarness:
         ``"neighbor"`` partition the announced **wire bytes** must also
         be byte-identical: one inbound UPDATE is never split, so
         multi-NLRI packing survives sharding.  The ``"prefix"``
-        partition may legitimately split updates (like ``fanout_batch``
-        changes packing), so it is held to the structural + decoded
+        partition may legitimately split updates (it changes UPDATE
+        packing), so it is held to the structural + decoded
         change-stream contract only.
         """
         report = DifferentialReport(

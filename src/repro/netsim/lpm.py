@@ -1,26 +1,24 @@
-"""Longest-prefix-match routing table with a multi-bit stride fast path.
+"""Longest-prefix-match routing table: a multi-bit stride trie plus an LRU.
 
 Each vBGP per-neighbor routing table, every router FIB, and the synthetic
 Internet's forwarding state are instances of :class:`LpmTable`.  The table
 is on the per-packet hot path (dMAC demux → per-neighbor table → LPM →
 forward, §3.2.2), so it is built for lookup speed:
 
-* **stride trie** (default): nodes consume 8 address bits per level, so an
-  IPv4 lookup touches at most 5 nodes instead of 33.  Prefix lengths that
-  are not byte-aligned are expanded *inside* their node into a 256-slot
+* **stride trie**: nodes consume 8 address bits per level, so an IPv4
+  lookup touches at most 5 nodes instead of 33.  Prefix lengths that are
+  not byte-aligned are expanded *inside* their node into a 256-slot
   ``expanded`` array (controlled prefix expansion), keeping the walk
   branch-free per level;
-* **lookup cache** (default): a bounded per-table LRU keyed by the
-  destination address caches both hits and misses.  Inserting or removing
-  a prefix invalidates exactly the cached addresses it covers, so a more
-  specific route becomes visible immediately;
-* **binary trie reference**: the original 1-bit-per-level walk is kept as
-  a second backend; the differential tests and the ablation benchmarks
-  run both.
+* **lookup cache**: a bounded per-table LRU (``_CACHE_CAP`` entries) keyed
+  by the destination address caches both hits and misses.  Inserting or
+  removing a prefix invalidates exactly the cached addresses it covers, so
+  a more specific route becomes visible immediately.  The
+  ``repro.perf.FLAGS.lpm_cache`` knob, read at table construction, turns
+  the cache off (capacity 0) for A/B measurements.
 
-Backend choice and cache behaviour are governed by
-:mod:`repro.perf` flags (``stride_lpm``, ``lpm_cache``,
-``lpm_cache_size``), read at table construction time.
+:class:`LinearScanLpm` is the obviously-correct oracle the differential
+tests compare against.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from repro.netsim.addr import IPAddress, Prefix
 V = TypeVar("V")
 
 _STRIDE = 8
+_CACHE_CAP = 1024  # LRU lookup-cache entries per table
 _MISS = object()  # cache sentinel distinguishing "no entry" from "not cached"
 
 
@@ -47,136 +46,7 @@ class RouteEntry(Generic[V]):
 
 
 # ---------------------------------------------------------------------------
-# Binary trie backend (the reference implementation)
-# ---------------------------------------------------------------------------
-
-
-class _BitNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_BitNode"]] = [None, None]
-        self.entry: Optional[RouteEntry] = None
-
-
-class _BinaryTrie:
-    """1-bit-per-level trie: the original, obviously-correct backend."""
-
-    def __init__(self) -> None:
-        self._root = _BitNode()
-
-    def _walk_to(self, prefix: Prefix, create: bool) -> Optional[_BitNode]:
-        node = self._root
-        value = prefix.network.value
-        bits = prefix.ADDRESS_CLS.BITS
-        for depth in range(prefix.length):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                if not create:
-                    return None
-                child = _BitNode()
-                node.children[bit] = child
-            node = child
-        return node
-
-    def insert(self, prefix: Prefix, value: Any) -> bool:
-        node = self._walk_to(prefix, create=True)
-        assert node is not None
-        created = node.entry is None
-        node.entry = RouteEntry(prefix=prefix, value=value)
-        return created
-
-    def get(self, prefix: Prefix) -> Optional[RouteEntry]:
-        node = self._walk_to(prefix, create=False)
-        if node is None:
-            return None
-        return node.entry
-
-    def remove(self, prefix: Prefix) -> bool:
-        path: list[tuple[_BitNode, int]] = []
-        node = self._root
-        value = prefix.network.value
-        bits = prefix.ADDRESS_CLS.BITS
-        for depth in range(prefix.length):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                return False
-            path.append((node, bit))
-            node = child
-        if node.entry is None:
-            return False
-        node.entry = None
-        # Prune childless, entry-less nodes bottom-up.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.entry is None and child.children == [None, None]:
-                parent.children[bit] = None
-            else:
-                break
-        return True
-
-    def lookup(self, address: IPAddress) -> Optional[RouteEntry]:
-        node = self._root
-        best = node.entry
-        value = address.value
-        bits = address.BITS
-        for depth in range(bits):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.entry is not None:
-                best = node.entry
-        return best
-
-    def lookup_all(self, address: IPAddress) -> list[RouteEntry]:
-        matches: list[RouteEntry] = []
-        node = self._root
-        if node.entry is not None:
-            matches.append(node.entry)
-        value = address.value
-        bits = address.BITS
-        for depth in range(bits):
-            bit = (value >> (bits - 1 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            if node.entry is not None:
-                matches.append(node.entry)
-        return matches
-
-    def entries(self) -> Iterator[RouteEntry]:
-        yield from self._iter_subtree(self._root)
-
-    def _iter_subtree(self, node: _BitNode) -> Iterator[RouteEntry]:
-        stack = [node]
-        while stack:
-            current = stack.pop()
-            if current.entry is not None:
-                yield current.entry
-            for child in reversed(current.children):
-                if child is not None:
-                    stack.append(child)
-
-    def node_count(self) -> int:
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            for child in node.children:
-                if child is not None:
-                    count += 1
-                    stack.append(child)
-        return count
-
-
-# ---------------------------------------------------------------------------
-# Stride trie backend (the fast path)
+# Stride trie
 # ---------------------------------------------------------------------------
 
 
@@ -422,7 +292,7 @@ class LinearScanLpm(Generic[V]):
 
 
 # ---------------------------------------------------------------------------
-# Public facade: backend + LRU lookup cache
+# Public facade: stride trie + LRU lookup cache
 # ---------------------------------------------------------------------------
 
 
@@ -433,29 +303,12 @@ class LpmTable(Generic[V]):
     coexist but, per real-kernel practice, callers keep separate v4/v6
     tables (the lookup cache keys on ``(address bits, address value)`` so
     coexistence stays correct).
-
-    Backend (stride vs. binary trie) and cache behaviour follow the
-    :mod:`repro.perf` flags at construction time; per-table keyword
-    overrides exist for tests and ablation benchmarks.
     """
 
-    def __init__(
-        self,
-        *,
-        stride: Optional[bool] = None,
-        cache: Optional[bool] = None,
-        cache_size: Optional[int] = None,
-    ) -> None:
-        flags = perf.FLAGS
-        use_stride = flags.stride_lpm if stride is None else stride
-        use_cache = flags.lpm_cache if cache is None else cache
-        self._backend = _StrideTrie() if use_stride else _BinaryTrie()
-        self._cache: Optional[OrderedDict] = (
-            OrderedDict() if use_cache else None
-        )
-        self._cache_cap = (
-            flags.lpm_cache_size if cache_size is None else cache_size
-        )
+    def __init__(self) -> None:
+        self._backend = _StrideTrie()
+        self._cache: OrderedDict = OrderedDict()
+        self._cache_cap = _CACHE_CAP if perf.FLAGS.lpm_cache else 0
         self._size = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -473,7 +326,7 @@ class LpmTable(Generic[V]):
         return self._backend.node_count()
 
     def cache_len(self) -> int:
-        return len(self._cache) if self._cache is not None else 0
+        return len(self._cache)
 
     # -- mutation --------------------------------------------------------
 
@@ -496,11 +349,9 @@ class LpmTable(Generic[V]):
         return True
 
     def clear(self) -> None:
-        backend = self._backend
-        self._backend = type(backend)()
+        self._backend = _StrideTrie()
         self._size = 0
-        if self._cache is not None:
-            self._cache.clear()
+        self._cache.clear()
 
     def _invalidate(self, prefix: Prefix) -> None:
         """Drop cached lookups (hits *and* misses) covered by ``prefix``."""
@@ -532,8 +383,6 @@ class LpmTable(Generic[V]):
     def lookup(self, address: IPAddress) -> Optional[RouteEntry[V]]:
         """Longest-prefix-match for ``address``."""
         cache = self._cache
-        if cache is None:
-            return self._backend.lookup(address)
         key = (address.BITS, address.value)
         hit = cache.get(key, _MISS)
         if hit is not _MISS:

@@ -1,61 +1,31 @@
-"""Central fast-path feature flags (the ablation control surface).
+"""Scale-out knobs for the vBGP fan-out, plus the process-wide cache registry.
 
-The vBGP pipeline has four independent optimizations, each gated behind a
-module-level toggle so ``benchmarks/bench_ablation_fastpath.py`` can
-measure them on/off without code changes:
+Every fast path of the pipeline is unconditional: one implementation per
+layer (DESIGN.md §6b).  What remains here is one measurement knob and the
+scale-out knobs of :mod:`repro.shard` (DESIGN.md §6f/§6j):
 
-* ``stride_lpm``   — multi-bit (8-bit stride) trie walk in
-  :class:`repro.netsim.lpm.LpmTable` instead of the 1-bit-per-level
-  binary trie reference,
-* ``lpm_cache``    — bounded per-table LRU lookup cache keyed by
-  destination address, invalidated on insert/remove of any covering
-  prefix (negative results are cached too),
-* ``encode_memo``  — memoized ``_encode_attributes`` on the frozen
-  ``PathAttributes`` value plus per-``UpdateMessage`` wire caching, so
-  ADD-PATH fan-out to E experiments encodes each attribute set once,
-* ``intern_attrs`` — interning pool for decoded ``PathAttributes`` /
-  ``AsPath`` so RIBs holding equal attributes share one object
-  (Fig. 6a memory),
-* ``fanout_batch`` — coalesce routes sharing identical post-rewrite
-  attributes into single multi-NLRI UPDATEs in the vBGP fan-out and
-  backbone export paths.
-
-The full-table RIB engine (DESIGN.md §6g) adds three more toggles that
-make a ~900k-prefix Loc-RIB tractable:
-
-* ``rib_columnar``         — flyweight/columnar Loc-RIB storage: interned
-  attribute handles + packed per-prefix candidate tuples instead of a
-  dict-of-dicts holding one ``RibEntry``/``Route`` object pair per
-  candidate (chosen at Loc-RIB construction time, like ``stride_lpm``),
-* ``incremental_bestpath`` — on single-candidate upserts/withdrawals the
-  Loc-RIB compares against the incumbent best instead of re-running the
-  decision fold over every candidate,
-* ``encode_zero_copy``     — UPDATE encoding writes NLRI runs into one
-  reusable ``bytearray`` instead of joining per-prefix ``bytes`` objects.
-
-Scale-out knobs (see :mod:`repro.shard` and DESIGN.md §6f) ride the
-same flag surface so the differential harness can sweep them exactly
-like the fast-path toggles:
-
-* ``shards``          — number of fan-out worker shards
+* ``lpm_cache``       — the per-table LRU lookup cache in front of the
+  LPM stride trie, read when an ``LpmTable`` is built (off = capacity 0).
+  The cache speeds up forwarding but slows down churn, so the knob stays
+  for A/B runs; ``vbgpbench`` refuses to run unless it is on.
+* ``shards``          — number of fan-out worker shards, read at call time
   (1 = the unsharded reference pipeline),
 * ``shard_partition`` — partition strategy, ``"neighbor"`` (default;
   byte-identical output for any shard count) or ``"prefix"``
-  (may split one UPDATE across shards, like ``fanout_batch`` changes
-  packing),
+  (may split one UPDATE across shards, so only the decoded route
+  changes are invariant),
 * ``shard_seed``      — seed mixed into the deterministic partition
   hash (``repro.shard.partition.stable_mix64``),
-* ``shard_backend``   — how shard workers execute (DESIGN.md §6j):
-  ``"model"`` (serial execution with wall-clock *attributed* to
-  shards — the PR 5 reference), ``"async"`` (one asyncio task per
-  shard worker on a private event loop), or ``"mp"`` (a
-  ``multiprocessing`` worker pool; one OS process per shard encodes
-  its UPDATE batches in real parallel).  Every backend is proven
+* ``shard_backend``   — how shard workers execute: ``"model"`` (serial
+  execution with wall-clock *attributed* to shards), ``"async"`` (one
+  asyncio task per shard worker on a private event loop), or ``"mp"``
+  (a ``multiprocessing`` worker pool).  Every backend is proven
   byte-identical to the sync reference by the differential harness.
 
-Flags are read at call time (and, for the LPM backend choice, at table
-construction time).  Toggling flags clears all registered caches so
-on/off comparisons are honest.
+Modules that keep a process-wide memo (wire-encoding caches, interning
+pools, the zero-copy encode buffer) register a clearer with
+:func:`register_cache_clearer`; :func:`clear_caches` drops them all, and
+changing the flags clears them so runs under different knobs start cold.
 """
 
 from __future__ import annotations
@@ -70,19 +40,9 @@ __all__ = ["FLAGS", "PerfFlags", "set_flags", "flags", "clear_caches",
 
 @dataclass(frozen=True)
 class PerfFlags:
-    """The fast-path toggles (all on by default)."""
+    """The LPM cache knob and the scale-out knobs (shipped defaults)."""
 
-    stride_lpm: bool = True
     lpm_cache: bool = True
-    lpm_cache_size: int = 1024
-    encode_memo: bool = True
-    intern_attrs: bool = True
-    fanout_batch: bool = True
-    # Full-table RIB engine (DESIGN.md §6g).
-    rib_columnar: bool = True
-    incremental_bestpath: bool = True
-    encode_zero_copy: bool = True
-    # Scale-out knobs (repro.shard; DESIGN.md §6f/§6j).
     shards: int = 1
     shard_partition: str = "neighbor"
     shard_seed: int = 0
@@ -95,12 +55,12 @@ _cache_clearers: list[Callable[[], None]] = []
 
 
 def register_cache_clearer(clearer: Callable[[], None]) -> None:
-    """Modules owning a flag-gated cache register a clearer here."""
+    """Modules owning a process-wide cache register a clearer here."""
     _cache_clearers.append(clearer)
 
 
 def clear_caches() -> None:
-    """Drop every registered flag-gated cache (used when flags change)."""
+    """Drop every registered cache (also done whenever flags change)."""
     for clearer in _cache_clearers:
         clearer()
 
@@ -110,7 +70,7 @@ def set_flags(**changes: object) -> PerfFlags:
 
     Unknown flag names raise ``TypeError`` (via ``dataclasses.replace``).
     All registered caches are cleared so stale entries from the previous
-    configuration cannot leak across an ablation boundary.
+    configuration cannot leak into the next run.
     """
     global FLAGS
     FLAGS = replace(FLAGS, **changes)
@@ -120,7 +80,7 @@ def set_flags(**changes: object) -> PerfFlags:
 
 @contextmanager
 def flags(**changes: object) -> Iterator[PerfFlags]:
-    """Temporarily override flags (tests and ablation benchmarks)."""
+    """Temporarily override flags (tests and scale-out benchmarks)."""
     global FLAGS
     saved = FLAGS
     try:

@@ -56,7 +56,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional
 
-from repro import perf
 from repro.shard.partition import PartitionFn, stable_mix64, stable_str_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -217,11 +216,10 @@ class _ShardEmitter:
                 target=session, counter=counter,
             ))
             return
-        if perf.FLAGS.encode_memo:
-            # Charge the encode to *this shard*: with the wire memo on,
-            # the merge layer's actual send hits the cache, so the
-            # expensive work genuinely parallelizes across shards.
-            message.encode(addpath=session.addpath_active)
+        # Charge the encode to *this shard*: the merge layer's actual
+        # send hits the wire memo, so the expensive work genuinely
+        # parallelizes across shards.
+        message.encode(addpath=session.addpath_active)
         self.worker.buffer.append(FanoutOp(
             key=self._key(), kind="send", payload=message,
             target=session, counter=counter,

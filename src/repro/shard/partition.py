@@ -30,8 +30,8 @@ Two strategies are provided behind the :class:`PartitionFn` protocol:
     range_bits`` equal contiguous ranges (default /12 blocks) and each
     block maps wholly to one shard.  An inbound UPDATE may be split
     across shards, so multi-NLRI packing can legitimately differ from
-    the unsharded reference (exactly like the ``fanout_batch`` flag);
-    the *decoded route-change stream* and all structural state remain
+    the unsharded reference; the *decoded route-change stream* and all
+    structural state remain
     identical, which is what the differential harness checks for this
     strategy.
 

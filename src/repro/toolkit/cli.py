@@ -99,8 +99,6 @@ class ToolkitCli:
             "                                   [--partition neighbor|prefix]\n"
             "                                   [--workload churn|fulltable]\n"
             "                                   [--prefixes n]\n"
-            "                                   [--subsample n] (0 = full\n"
-            "                                    flag lattice)\n"
             "       peering verify all\n"
             "       peering intent op announce <prefix> [-m pop]\n"
             "                      [-c asn:val] [-p prepend] [-x poison]\n"
@@ -613,13 +611,16 @@ class ToolkitCli:
         ``invariants`` evaluates the platform invariant catalog against
         the *live* platform this CLI is attached to; ``codec`` fuzzes
         the wire decoder (corpus replayed first); ``differential``
-        replays a churn workload through every perf-toggle combination;
-        ``all`` runs everything with CLI-sized budgets.
+        replays a churn workload at several shard counts (or execution
+        backends) against the unsharded reference; ``all`` runs
+        everything with CLI-sized budgets.
         """
         action = args[0] if args else "invariants"
         rest, options = self._parse_verify_options(args[1:])
         if action == "invariants":
             return self._verify_invariants(rest)
+        if rest:
+            raise ValueError(f"unknown option: {rest[0]}")
         if action == "codec":
             return self._verify_codec(options)
         if action == "differential":
@@ -657,7 +658,10 @@ class ToolkitCli:
         return result.format()
 
     def _verify_differential(self, options: dict) -> str:
-        from repro.conformance.differential import DifferentialHarness
+        from repro.conformance.differential import (
+            SHARD_COUNTS,
+            DifferentialHarness,
+        )
 
         prefixes = options["prefixes"]
         if prefixes is None:
@@ -674,28 +678,17 @@ class ToolkitCli:
             # Real-backend sweep (DESIGN.md §6j): prove every requested
             # execution backend byte-identical to the sync reference,
             # composed with the requested shard counts.
-            from repro.conformance.differential import SHARD_COUNTS
-
             result = harness.run_backends(
                 backends=options["backend"],
                 counts=options["shards"] or SHARD_COUNTS,
                 partition=options["partition"],
             )
-        elif options["shards"] is not None:
-            # Shard-count sweep (DESIGN.md §6f): prove the fan-out is
-            # byte-identical at every requested shard count instead of
-            # sweeping the perf-flag lattice.
-            result = harness.run_shards(
-                counts=options["shards"],
-                partition=options["partition"],
-            )
         else:
-            # With eight toggles the full lattice is 256 runs; the CLI
-            # defaults to the curated 16-combination subsample.
-            # ``--subsample 0`` requests the full lattice.
-            subsample = options["subsample"]
-            result = harness.run(
-                subsample=None if subsample == 0 else subsample
+            # Shard-count sweep (DESIGN.md §6f): prove the fan-out is
+            # byte-identical at every requested shard count.
+            result = harness.run_shards(
+                counts=options["shards"] or SHARD_COUNTS,
+                partition=options["partition"],
             )
         if not result.ok:
             self.exit_code = 1
@@ -712,19 +705,16 @@ class ToolkitCli:
             "partition": "neighbor",
             "workload": "churn",
             "prefixes": None,
-            "subsample": 16,
         }
         takes_value = ("--frames", "--updates", "--seed", "--prefixes",
-                       "--subsample", "--shards", "--backend",
-                       "--partition", "--workload")
+                       "--shards", "--backend", "--partition", "--workload")
         rest: list[str] = []
         index = 0
         while index < len(args):
             token = args[index]
             if token in takes_value and index + 1 >= len(args):
                 raise ValueError(f"{token} requires a value")
-            if token in ("--frames", "--updates", "--seed", "--prefixes",
-                         "--subsample"):
+            if token in ("--frames", "--updates", "--seed", "--prefixes"):
                 index += 1
                 options[token.lstrip("-")] = int(args[index])
             elif token == "--shards":

@@ -531,8 +531,7 @@ class VbgpNode:
         # compute it once here instead of once per experiment.
         groups = (
             _group_by_attributes(announced)
-            if announced and perf.FLAGS.fanout_batch and self.experiments
-            else None
+            if announced and self.experiments else None
         )
         for exp in self.experiments.values():
             self._fanout(exp, gid, neighbor.virtual.local_ip, announced,
@@ -798,9 +797,9 @@ class VbgpNode:
     ) -> None:
         """Send neighbor-route changes to one experiment (Figure 2a).
 
-        With the ``fanout_batch`` perf flag on, announced routes sharing
-        one attribute set are coalesced into multi-NLRI UPDATEs (one
-        attribute encode + one message per batch instead of per route).
+        Announced routes sharing one attribute set are coalesced into
+        multi-NLRI UPDATEs (one attribute encode + one message per batch
+        instead of per route).
         Withdrawals carry no attributes and are always chunked to respect
         the 4096-byte message ceiling.  ``ex`` is the effect executor
         (direct by default; a shard emitter when the fan-out is sharded).
@@ -824,30 +823,22 @@ class VbgpNode:
                     "updates_to_experiments")
         if not announced:
             return
-        if perf.FLAGS.fanout_batch:
-            if groups is None:
-                groups = _group_by_attributes(announced)
-            for attrs, group in groups.items():
-                rewritten_attrs = attrs.with_next_hop(local_vip)
-                batch = [
-                    Route(
-                        prefix=route.prefix,
-                        attributes=rewritten_attrs,
-                        path_id=exp.path_id_for(gid, route.prefix,
-                                                route.path_id),
-                    )
-                    for route in group
-                ]
-                limit = _max_nlri_per_update(rewritten_attrs)
-                for chunk in _chunk_routes(batch, limit):
-                    ex.send(exp.session, UpdateMessage.announce(chunk),
-                            "updates_to_experiments")
-        else:
-            for route in announced:
-                rewritten = route.with_next_hop(local_vip).with_path_id(
-                    exp.path_id_for(gid, route.prefix, route.path_id)
+        if groups is None:
+            groups = _group_by_attributes(announced)
+        for attrs, group in groups.items():
+            rewritten_attrs = attrs.with_next_hop(local_vip)
+            batch = [
+                Route(
+                    prefix=route.prefix,
+                    attributes=rewritten_attrs,
+                    path_id=exp.path_id_for(gid, route.prefix,
+                                            route.path_id),
                 )
-                ex.send(exp.session, UpdateMessage.announce([rewritten]),
+                for route in group
+            ]
+            limit = _max_nlri_per_update(rewritten_attrs)
+            for chunk in _chunk_routes(batch, limit):
+                ex.send(exp.session, UpdateMessage.announce(chunk),
                         "updates_to_experiments")
 
     # -- announcements from experiments ---------------------------------
@@ -1025,23 +1016,15 @@ class VbgpNode:
         session = self.backbone_peers.get(node_name)
         if session is None or not session.established:
             return
-        batch = perf.FLAGS.fanout_batch
         for neighbor in self.upstreams.values():
-            if batch:
-                for group in _group_by_attributes(
-                    neighbor.rib.values()
-                ).values():
-                    carried = self._backbone_batch(neighbor.virtual, group)
-                    limit = _max_nlri_per_update(carried[0].attributes)
-                    for chunk in _chunk_routes(carried, limit):
-                        session.send_update(UpdateMessage.announce(chunk))
-                        self.counters["updates_to_backbone"] += 1
-                continue
-            for route in neighbor.rib.values():
-                session.send_update(UpdateMessage.announce([
-                    self._backbone_route(neighbor.virtual, route)
-                ]))
-                self.counters["updates_to_backbone"] += 1
+            for group in _group_by_attributes(
+                neighbor.rib.values()
+            ).values():
+                carried = self._backbone_batch(neighbor.virtual, group)
+                limit = _max_nlri_per_update(carried[0].attributes)
+                for chunk in _chunk_routes(carried, limit):
+                    session.send_update(UpdateMessage.announce(chunk))
+                    self.counters["updates_to_backbone"] += 1
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
@@ -1049,16 +1032,11 @@ class VbgpNode:
                 ]))
                 self.counters["updates_to_backbone"] += 1
 
-    def _backbone_route(self, virtual: VirtualNeighbor, route: Route) -> Route:
-        """A neighbor route as carried on the mesh: global-IP next hop."""
-        return route.with_next_hop(virtual.global_ip).with_path_id(
-            virtual.global_id * _GID_PATH_ID_BASE + _stable_id(route)
-        )
-
     def _backbone_batch(self, virtual: VirtualNeighbor,
                         group: list[Route]) -> list[Route]:
-        """Batched ``_backbone_route``: rewrite the shared attribute set
-        once, keep the per-route stable path ids."""
+        """Neighbor routes sharing one attribute set, as carried on the
+        mesh: the global-IP next hop rewritten once, per-route stable
+        path ids under the neighbor's global-id base."""
         carried_attrs = group[0].attributes.with_next_hop(virtual.global_ip)
         base = virtual.global_id * _GID_PATH_ID_BASE
         return [
@@ -1089,38 +1067,24 @@ class VbgpNode:
         )
         if neighbor is None:
             return
-        batch = perf.FLAGS.fanout_batch
         for session in self.backbone_peers.values():
             if not session.established:
                 continue
-            if batch:
-                fakes = []
-                for prefix, source_id in removed:
-                    fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-                    fakes.append(fake.with_path_id(
-                        gid * _GID_PATH_ID_BASE + _stable_id(fake)
-                    ))
-                for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE):
-                    ex.send(session, UpdateMessage.withdraw(chunk),
-                            "updates_to_backbone")
-                for group in _group_by_attributes(announced).values():
-                    carried = self._backbone_batch(neighbor.virtual, group)
-                    limit = _max_nlri_per_update(carried[0].attributes)
-                    for chunk in _chunk_routes(carried, limit):
-                        ex.send(session, UpdateMessage.announce(chunk),
-                                "updates_to_backbone")
-                continue
+            fakes = []
             for prefix, source_id in removed:
                 fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-                ex.send(session, UpdateMessage.withdraw([
-                    fake.with_path_id(
-                        gid * _GID_PATH_ID_BASE + _stable_id(fake)
-                    )
-                ]), "updates_to_backbone")
-            for route in announced:
-                ex.send(session, UpdateMessage.announce([
-                    self._backbone_route(neighbor.virtual, route)
-                ]), "updates_to_backbone")
+                fakes.append(fake.with_path_id(
+                    gid * _GID_PATH_ID_BASE + _stable_id(fake)
+                ))
+            for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE):
+                ex.send(session, UpdateMessage.withdraw(chunk),
+                        "updates_to_backbone")
+            for group in _group_by_attributes(announced).values():
+                carried = self._backbone_batch(neighbor.virtual, group)
+                limit = _max_nlri_per_update(carried[0].attributes)
+                for chunk in _chunk_routes(carried, limit):
+                    ex.send(session, UpdateMessage.announce(chunk),
+                            "updates_to_backbone")
 
     def _backbone_export_experiment(self, exp: ExperimentAttachment,
                                     route: Route, withdraw: bool) -> None:

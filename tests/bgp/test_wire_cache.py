@@ -1,8 +1,7 @@
-"""Encode memoization and attribute interning (perf fast path).
+"""Encode memoization and attribute interning.
 
-The optimizations must be *invisible*: cached encodes are byte-identical
-to uncached ones, and interning only changes object identity, never
-values.
+Both must be *invisible*: cached encodes are byte-identical to a first,
+cold encode, and interning only changes object identity, never values.
 """
 
 from repro import perf
@@ -42,98 +41,78 @@ def _sample_update(seed: int = 0) -> UpdateMessage:
 class TestEncodeMemoization:
     def test_cached_encode_is_byte_identical(self):
         update = _sample_update()
-        with perf.flags(encode_memo=False):
-            plain_no_ap = _sample_update().encode(addpath=False)
-            plain_ap = _sample_update().encode(addpath=True)
-        with perf.flags(encode_memo=True):
-            assert update.encode(addpath=False) == plain_no_ap
-            assert update.encode(addpath=True) == plain_ap
+        warm_no_ap = update.encode(addpath=False)
+        warm_ap = update.encode(addpath=True)
+        perf.clear_caches()
+        assert _sample_update().encode(addpath=False) == warm_no_ap
+        assert _sample_update().encode(addpath=True) == warm_ap
+        assert update.encode(addpath=True) == warm_ap
 
     def test_repeat_encode_returns_cached_object(self):
-        with perf.flags(encode_memo=True):
-            update = _sample_update()
-            first = update.encode(addpath=True)
-            assert update.encode(addpath=True) is first
-            # Different addpath mode is cached independently.
-            other = update.encode(addpath=False)
-            assert other != first
-            assert update.encode(addpath=False) is other
-
-    def test_memo_disabled_still_correct(self):
-        with perf.flags(encode_memo=False):
-            update = _sample_update()
-            first = update.encode(addpath=True)
-            again = update.encode(addpath=True)
-            assert first == again
+        update = _sample_update()
+        first = update.encode(addpath=True)
+        assert update.encode(addpath=True) is first
+        # Different addpath mode is cached independently.
+        other = update.encode(addpath=False)
+        assert other != first
+        assert update.encode(addpath=False) is other
 
     def test_shared_attributes_roundtrip(self):
         """Two messages with equal attributes decode identically whether
-        or not the attribute wire cache is active."""
+        the attribute wire cache is warm or cold."""
         update = _sample_update(seed=3)
         wire = update.encode(addpath=True)
-        for memo in (True, False):
-            with perf.flags(encode_memo=memo):
-                decoder = MessageDecoder()
-                decoder.addpath = True
-                decoder.feed(wire)
-                decoded = decoder.next_message()
-                assert decoded.attributes == update.attributes
-                assert decoded.nlri == update.nlri
+        for _ in range(2):
+            decoder = MessageDecoder()
+            decoder.addpath = True
+            decoder.feed(wire)
+            decoded = decoder.next_message()
+            assert decoded.attributes == update.attributes
+            assert decoded.nlri == update.nlri
+            assert decoded.encode(addpath=True) == wire
+            perf.clear_caches()
 
 
 class TestInterning:
     def test_intern_attributes_identity(self):
-        with perf.flags(intern_attrs=True):
-            first = intern_attributes(_sample_attributes(7))
-            second = intern_attributes(_sample_attributes(7))
-            assert first is second
+        first = intern_attributes(_sample_attributes(7))
+        second = intern_attributes(_sample_attributes(7))
+        assert first is second
 
     def test_intern_as_path_identity(self):
-        with perf.flags(intern_attrs=True):
-            first = intern_as_path(AsPath.from_asns(1, 2, 3))
-            second = intern_as_path(AsPath.from_asns(1, 2, 3))
-            assert first is second
-
-    def test_intern_disabled_returns_argument(self):
-        with perf.flags(intern_attrs=False):
-            attrs = _sample_attributes(9)
-            assert intern_attributes(attrs) is attrs
-            path = AsPath.from_asns(4, 5)
-            assert intern_as_path(path) is path
+        first = intern_as_path(AsPath.from_asns(1, 2, 3))
+        second = intern_as_path(AsPath.from_asns(1, 2, 3))
+        assert first is second
 
     def test_decode_pools_equal_attribute_sets(self):
         wire = _sample_update(seed=5).encode(addpath=True)
-        with perf.flags(intern_attrs=True):
-            decoded = []
-            for _ in range(2):
-                decoder = MessageDecoder()
-                decoder.addpath = True
-                decoder.feed(wire)
-                decoded.append(decoder.next_message())
-            assert decoded[0].attributes is decoded[1].attributes
+        decoded = []
+        for _ in range(2):
+            decoder = MessageDecoder()
+            decoder.addpath = True
+            decoder.feed(wire)
+            decoded.append(decoder.next_message())
+        assert decoded[0].attributes is decoded[1].attributes
 
     def test_interning_never_changes_value(self):
-        with perf.flags(intern_attrs=True):
-            attrs = _sample_attributes(11)
-            assert intern_attributes(attrs) == attrs
+        attrs = _sample_attributes(11)
+        assert intern_attributes(attrs) == attrs
 
 
 class TestFlagHygiene:
     def test_flags_context_restores(self):
         before = perf.FLAGS
-        with perf.flags(encode_memo=False, intern_attrs=False):
-            assert not perf.FLAGS.encode_memo
-            assert not perf.FLAGS.intern_attrs
+        with perf.flags(shards=2, shard_seed=7):
+            assert perf.FLAGS.shards == 2
+            assert perf.FLAGS.shard_seed == 7
         assert perf.FLAGS == before
 
     def test_cache_cleared_on_flag_change(self):
-        with perf.flags(encode_memo=True):
-            update = _sample_update(seed=13)
-            update.encode(addpath=True)
-            from repro.bgp import messages
-
-            assert messages._ATTR_WIRE_CACHE
-        # Leaving the context clears the module-level caches.
         from repro.bgp import messages
 
+        with perf.flags(shards=2):
+            update = _sample_update(seed=13)
+            update.encode(addpath=True)
+            assert messages._ATTR_WIRE_CACHE
+        # Leaving the context clears the module-level caches.
         assert not messages._ATTR_WIRE_CACHE

@@ -1,5 +1,7 @@
 """§6g zero-copy UPDATE encode: byte-identical, bounded, clearable."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,9 +9,12 @@ from repro import perf
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.errors import NotificationError
 from repro.bgp.messages import (
+    MARKER,
     MAX_MESSAGE_SIZE,
+    MSG_UPDATE,
     UpdateMessage,
     _ENCODE_BUFFER,
+    _encode_attributes_uncached,
 )
 from repro.netsim.addr import IPv4Address, IPv4Prefix
 
@@ -35,30 +40,46 @@ def _prefixes(max_size):
     ))
 
 
-@given(nlri=_prefixes(12), withdrawn=_prefixes(12),
-       addpath=st.booleans(), memo=st.booleans())
+def _reference_encode(message, addpath):
+    """RFC 4271 §4.3 UPDATE layout (plus RFC 7911 path ids), spelled out
+    with plain joins: the oracle for the in-place encoder."""
+
+    def nlri(pairs):
+        out = b""
+        for prefix, path_id in pairs:
+            if addpath:
+                out += struct.pack("!I", path_id or 0)
+            out += bytes([prefix.length])
+            out += prefix.network.packed()[:(prefix.length + 7) // 8]
+        return out
+
+    withdrawn = nlri(message.withdrawn)
+    attrs = (_encode_attributes_uncached(message.attributes)
+             if message.nlri else b"")
+    body = (struct.pack("!H", len(withdrawn)) + withdrawn
+            + struct.pack("!H", len(attrs)) + attrs + nlri(message.nlri))
+    return MARKER + struct.pack("!HB", 19 + len(body), MSG_UPDATE) + body
+
+
+@given(nlri=_prefixes(12), withdrawn=_prefixes(12), addpath=st.booleans())
 @settings(max_examples=120, deadline=None)
-def test_zero_copy_matches_reference_encoder(nlri, withdrawn, addpath, memo):
+def test_zero_copy_matches_reference_encoder(nlri, withdrawn, addpath):
     message = UpdateMessage(
         attributes=ATTRS if nlri else None, nlri=nlri, withdrawn=withdrawn,
     )
-    with perf.flags(encode_zero_copy=False, encode_memo=False):
-        reference = message.encode(addpath)
-    for zero_memo in (False, True):
-        fresh = UpdateMessage(
-            attributes=ATTRS if nlri else None, nlri=nlri,
-            withdrawn=withdrawn,
-        )
-        with perf.flags(encode_zero_copy=True, encode_memo=zero_memo):
-            assert fresh.encode(addpath) == reference
+    reference = _reference_encode(message, addpath)
+    assert message.encode(addpath) == reference
+    perf.clear_caches()
+    fresh = UpdateMessage(
+        attributes=ATTRS if nlri else None, nlri=nlri, withdrawn=withdrawn,
+    )
+    assert fresh.encode(addpath) == reference
     assert UpdateMessage.decode(reference[19:], addpath) is not None
 
 
 def test_end_of_rib_identical():
-    with perf.flags(encode_zero_copy=False):
-        reference = UpdateMessage.end_of_rib().encode()
-    with perf.flags(encode_zero_copy=True):
-        assert UpdateMessage.end_of_rib().encode() == reference
+    assert UpdateMessage.end_of_rib().encode() == (
+        MARKER + bytes([0, 23, MSG_UPDATE, 0, 0, 0, 0]))
 
 
 def test_snapshots_survive_buffer_reuse():
@@ -66,12 +87,10 @@ def test_snapshots_survive_buffer_reuse():
     the shared buffer must not corrupt an earlier result."""
     p1 = IPv4Prefix.parse("198.51.100.0/24")
     p2 = IPv4Prefix.parse("203.0.113.0/24")
-    with perf.flags(encode_zero_copy=True, encode_memo=False):
-        first = UpdateMessage(attributes=ATTRS,
-                              nlri=((p1, None),)).encode()
-        copy = bytes(first)
-        second = UpdateMessage(attributes=ATTRS,
-                               nlri=((p2, None), (p1, None))).encode()
+    first = UpdateMessage(attributes=ATTRS, nlri=((p1, None),)).encode()
+    copy = bytes(first)
+    second = UpdateMessage(attributes=ATTRS,
+                           nlri=((p2, None), (p1, None))).encode()
     assert first == copy
     assert first != second
 
@@ -81,16 +100,13 @@ def test_oversize_message_raises_in_both_modes():
         (IPv4Prefix(IPv4Address((10 << 24) + (i << 8)), 24), None)
         for i in range(1400)
     )
-    message = UpdateMessage(attributes=ATTRS, nlri=nlri)
-    for zero in (False, True):
-        fresh = UpdateMessage(attributes=ATTRS, nlri=nlri)
-        with perf.flags(encode_zero_copy=zero, encode_memo=False):
-            with pytest.raises(NotificationError):
-                fresh.encode()
+    for addpath in (False, True):
+        with pytest.raises(NotificationError):
+            UpdateMessage(attributes=ATTRS, nlri=nlri).encode(addpath)
 
 
 def test_encode_buffer_registered_with_cache_clearers():
-    with perf.flags(encode_zero_copy=True):
+    with perf.flags(shards=1):
         UpdateMessage(
             attributes=ATTRS,
             nlri=((IPv4Prefix.parse("198.51.100.0/24"), None),),

@@ -1,113 +1,127 @@
-"""Differential tests: perf-toggle combinations, identical output.
+"""Differential tests: the pipeline's output pinned by golden digests.
 
-With eight toggles the full lattice is 256 combinations, so the quick
-tests sweep curated subsamples (reference + every single-flag-on +
-all-on + seeded interior points) on a small workload; the slow
-acceptance tests run the CI-gate workload (≥5k updates) and the
-full-table workload, including composed with ``shards=4``.  Two rigged
-harnesses prove the comparison logic actually *detects* divergence —
-a checker that cannot fail is not a checker.
+``golden_fingerprints.json`` holds, per workload, the SHA-256 of each of
+the five canonical streams :class:`DifferentialHarness` produces
+(Loc-RIB/kernel/counter state, the decoded change streams and the raw
+wire bytes in both directions).  They were recorded from a tree in which
+every optional fast path could still be switched off and the full
+256-combination on/off lattice replayed identically, so matching them
+proves the pipeline computes what the simple reference computed, byte
+for byte on the wire.  The quick tests check the small workloads; the
+slow ones the CI-gate sizes.  The digests must not depend on process
+state (hash seed, earlier PoPs in the same process).
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import perf
-from repro.conformance.differential import (
-    DifferentialHarness,
-    TOGGLES,
-    _RunResult,
-    all_flag_combinations,
-    combo_label,
-    subsampled_flag_combinations,
+from repro.conformance.differential import DifferentialHarness, _RunResult
+from repro.platform.pop import PointOfPresence, PopConfig
+from repro.security.state import EnforcerState
+from repro.sim import Scheduler
+from repro.vbgp.allocator import GlobalNeighborRegistry
+
+GOLDEN = json.loads(
+    (Path(__file__).with_name("golden_fingerprints.json")).read_text()
 )
+ROOT = Path(__file__).resolve().parents[2]
 
 
-def test_all_flag_combinations_shape():
-    combos = all_flag_combinations()
-    assert len(combos) == 2 ** len(TOGGLES) == 256
-    assert combos[0] == {name: False for name in TOGGLES}  # reference
-    assert len({tuple(sorted(c.items())) for c in combos}) == 256
+def _harness(name: str) -> DifferentialHarness:
+    spec = GOLDEN[name]
+    return DifferentialHarness(
+        update_count=spec["update_count"],
+        prefix_count=spec["prefix_count"],
+        workload=spec["workload"],
+    )
 
 
-def test_subsampled_combinations_curated_corners():
-    combos = subsampled_flag_combinations(16, seed=3)
-    assert len(combos) == 16
-    assert combos[0] == {name: False for name in TOGGLES}  # reference first
-    for name in TOGGLES:  # every single-flag-on combo present
-        assert {**combos[0], name: True} in combos
-    assert {name: True for name in TOGGLES} in combos  # all-on present
-    assert len({tuple(sorted(c.items())) for c in combos}) == 16  # unique
-    # deterministic for a given seed
-    assert combos == subsampled_flag_combinations(16, seed=3)
-
-
-def test_combo_label():
-    assert combo_label({name: False for name in TOGGLES}) == "all_off"
-    assert combo_label({"stride_lpm": True}) == "stride_lpm"
+def _assert_golden(name: str) -> None:
+    assert _harness(name).fingerprint() == GOLDEN[name]["digests"]
 
 
 def test_differential_sweep_small():
-    harness = DifferentialHarness(update_count=240, prefix_count=400)
-    report = harness.run(subsample=16)
-    assert report.ok, report.format()
-    assert report.combinations == 16
-    assert "ok" in report.format()
+    """The churn workload (240 updates over 400 prefixes) reproduces the
+    golden digests of all five streams."""
+    _assert_golden("churn_240_400")
 
 
 def test_differential_fulltable_small():
     """The full-table workload at reduced scale: table load + churn tail
-    through every single-flag-on combination and the all-on config."""
-    harness = DifferentialHarness(
-        update_count=120, prefix_count=600, workload="fulltable"
-    )
-    report = harness.run(subsample=12)
-    assert report.ok, report.format()
-    assert report.workload == "fulltable"
-    assert "workload=fulltable" in report.format()
+    reproduces the golden digests."""
+    _assert_golden("fulltable_120_600")
 
 
 def test_differential_fulltable_composed_with_shards():
-    """The §6g flags must stay byte-identical when composed with the
-    shard layer (acceptance criterion: shards=4)."""
-    harness = DifferentialHarness(
-        update_count=80, prefix_count=400, workload="fulltable"
-    )
+    """The neighbor partition never splits an UPDATE, so a 4-shard
+    fan-out reproduces the unsharded golden digests, wire bytes too."""
     with perf.flags(shards=4):
-        report = harness.run(subsample=11)
-    assert report.ok, report.format()
+        _assert_golden("fulltable_120_600")
+
+
+def test_golden_digests_detect_a_different_workload():
+    """A checker that cannot fail is not a checker: another seed changes
+    the state and wire digests."""
+    spec = GOLDEN["churn_240_400"]
+    other = DifferentialHarness(
+        update_count=spec["update_count"], prefix_count=spec["prefix_count"],
+        seed=7,
+    ).fingerprint()
+    for name in ("structural", "changes_to_experiment", "wire_to_experiment"):
+        assert other[name] != spec["digests"][name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_fingerprints_independent_of_hash_seed(hash_seed):
+    code = (
+        "import json\n"
+        "from repro.conformance.differential import DifferentialHarness\n"
+        "h = DifferentialHarness(update_count=240, prefix_count=400)\n"
+        "print(json.dumps(h.fingerprint()))\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=300, check=True,
+    )
+    assert json.loads(result.stdout) == GOLDEN["churn_240_400"]["digests"]
+
+
+def test_fingerprints_independent_of_earlier_pops():
+    """MACs come from a process-wide counter: building other PoPs and
+    running another scenario first must not move any digest."""
+    scheduler = Scheduler()
+    for pop_id in range(3):
+        pop = PointOfPresence(
+            scheduler, PopConfig(name=f"p{pop_id}", pop_id=pop_id),
+            platform_asn=47065, platform_asns=frozenset({47065}),
+            registry=GlobalNeighborRegistry(), enforcer_state=EnforcerState(),
+        )
+        pop.provision_neighbor("upstream", 65010, kind="peer")
+    _harness("fulltable_120_600").fingerprint()
+    _assert_golden("churn_240_400")
 
 
 @pytest.mark.slow
 def test_differential_sweep_acceptance():
-    """The CI gate: byte-identical output on a >=5k-update workload."""
-    harness = DifferentialHarness(update_count=5000)
-    report = harness.run(subsample=32)
-    assert report.ok, report.format()
-    assert report.updates >= 5000
-    assert report.combinations == 32
-
-
-@pytest.mark.slow
-def test_differential_full_lattice():
-    """All 256 combinations on a small workload (nightly-sized)."""
-    harness = DifferentialHarness(update_count=120, prefix_count=300)
-    report = harness.run()
-    assert report.ok, report.format()
-    assert report.combinations == 256
+    """The CI gate: golden digests on a 5k-update churn."""
+    _assert_golden("churn_5000")
 
 
 @pytest.mark.slow
 def test_differential_fulltable_acceptance():
-    """Full-table differential at CI scale: 20k-prefix table + churn
-    tail, subsampled lattice, plus the shards=4 composition."""
-    harness = DifferentialHarness(
-        update_count=2000, prefix_count=20000, workload="fulltable"
-    )
-    report = harness.run(subsample=12)
-    assert report.ok, report.format()
+    """Full-table golden digests at CI scale (20k-prefix table + churn
+    tail), unsharded and composed with shards=4."""
+    _assert_golden("fulltable_2000_20000")
     with perf.flags(shards=4):
-        composed = harness.run(subsample=11)
-    assert composed.ok, composed.format()
+        _assert_golden("fulltable_2000_20000")
 
 
 class _Rigged(DifferentialHarness):
@@ -132,33 +146,8 @@ def _result(structural=b"s", changes=b"c", wire=b"w"):
 
 
 def test_detects_structural_divergence():
-    combos = all_flag_combinations()[:3]
     rigged = _Rigged([_result(), _result(), _result(structural=b"DIFF")])
-    report = rigged.run(combinations=combos)
+    report = rigged.run_shards(counts=(1, 2, 4))
     assert not report.ok
     assert any("Loc-RIB" in m for m in report.mismatches)
-    assert combo_label(combos[2]) in report.mismatches[0]
-
-
-def test_detects_wire_divergence_within_fanout_group():
-    # two combos with identical fanout_batch but different raw frames
-    combos = [
-        {name: False for name in TOGGLES},
-        {**{name: False for name in TOGGLES}, "stride_lpm": True},
-    ]
-    rigged = _Rigged([_result(), _result(wire=b"DIFF")])
-    report = rigged.run(combinations=combos)
-    assert not report.ok
-    assert any("wire bytes" in m for m in report.mismatches)
-
-
-def test_wire_not_compared_across_fanout_groups():
-    # different fanout_batch values: raw bytes may differ, but the
-    # decoded change stream and structure must not
-    combos = [
-        {name: False for name in TOGGLES},
-        {**{name: False for name in TOGGLES}, "fanout_batch": True},
-    ]
-    rigged = _Rigged([_result(wire=b"one"), _result(wire=b"two")])
-    report = rigged.run(combinations=combos)
-    assert report.ok, report.format()
+    assert "shards=4" in report.mismatches[0]

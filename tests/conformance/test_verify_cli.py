@@ -54,26 +54,27 @@ def test_verify_codec(cli):
 
 
 def test_verify_differential_small(cli):
-    # The CLI defaults to the curated 16-combination lattice subsample
-    # (the full lattice is 2**8 = 256 runs; --subsample 0 requests it).
+    # Without --shards/--backend the CLI sweeps every SHARD_COUNTS entry.
     out = cli.run("peering verify differential --updates 40")
     assert "differential: ok" in out
-    assert "16 flag combinations" in out
+    assert "4 shard combinations" in out
 
 
 def test_verify_differential_subsample_option(cli):
-    out = cli.run("peering verify differential --updates 40 --subsample 12")
-    assert "differential: ok" in out
-    assert "12 flag combinations" in out
+    # The flag lattice is gone; --subsample is an unknown option now.
+    output, status = cli.run_with_status(
+        "peering verify differential --updates 40 --subsample 12")
+    assert status == 2
+    assert output == "error: unknown option: --subsample"
 
 
 def test_verify_differential_fulltable_workload(cli):
     out = cli.run(
         "peering verify differential --updates 30 --prefixes 300 "
-        "--workload fulltable --subsample 11"
+        "--workload fulltable --shards 1,2"
     )
     assert "differential: ok" in out
-    assert "11 flag combinations" in out
+    assert "2 shard combinations" in out
     assert "workload=fulltable" in out
 
 

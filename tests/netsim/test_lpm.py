@@ -1,6 +1,7 @@
 """LPM trie tests, including a hypothesis model check against a naive
-reference implementation and differential tests of the stride-trie fast
-path (with and without the lookup cache) against a linear-scan oracle."""
+reference implementation and differential tests of the stride trie (with
+and without the lookup cache in front of it) against a linear-scan
+oracle."""
 
 import random
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import perf
+from repro.netsim import lpm
 from repro.netsim.addr import IPv4Address, IPv4Prefix, IPv6Address, IPv6Prefix
 from repro.netsim.lpm import LinearScanLpm, LpmTable
 
@@ -162,17 +164,22 @@ def test_insert_remove_restores_empty(pairs):
 # ---------------------------------------------------------------------------
 
 
+class _TrieOnly(LpmTable):
+    """The stride-trie walk with the LRU cache bypassed."""
+
+    def lookup(self, address):
+        return self._backend.lookup(address)
+
+
 BACKENDS = [
-    pytest.param({"stride": True, "cache": False}, id="stride"),
-    pytest.param({"stride": True, "cache": True}, id="stride+cache"),
-    pytest.param({"stride": False, "cache": False}, id="binary"),
-    pytest.param({"stride": False, "cache": True}, id="binary+cache"),
+    pytest.param(_TrieOnly, id="stride"),
+    pytest.param(LpmTable, id="stride+cache"),
 ]
 
 
-@pytest.mark.parametrize("kwargs", BACKENDS)
-def test_default_route_all_backends(kwargs):
-    table = LpmTable(**kwargs)
+@pytest.mark.parametrize("table_cls", BACKENDS)
+def test_default_route_all_backends(table_cls):
+    table = table_cls()
     table.insert(prefix("0.0.0.0/0"), "default")
     assert table.lookup(addr("1.2.3.4")).value == "default"
     assert table.lookup(addr("255.255.255.255")).value == "default"
@@ -183,9 +190,9 @@ def test_default_route_all_backends(kwargs):
     assert table.lookup(addr("11.0.0.1")) is None
 
 
-@pytest.mark.parametrize("kwargs", BACKENDS)
-def test_host_route_wins_all_backends(kwargs):
-    table = LpmTable(**kwargs)
+@pytest.mark.parametrize("table_cls", BACKENDS)
+def test_host_route_wins_all_backends(table_cls):
+    table = table_cls()
     table.insert(prefix("10.0.0.0/24"), "net")
     table.insert(prefix("10.0.0.7/32"), "host")
     assert table.lookup(addr("10.0.0.7")).value == "host"
@@ -196,7 +203,7 @@ def test_host_route_wins_all_backends(kwargs):
 
 
 def test_remove_then_lookup_invalidates_cache():
-    table = LpmTable(stride=True, cache=True)
+    table = LpmTable()
     table.insert(prefix("10.0.0.0/8"), "big")
     table.insert(prefix("10.1.0.0/16"), "small")
     probe = addr("10.1.2.3")
@@ -211,7 +218,7 @@ def test_remove_then_lookup_invalidates_cache():
 
 
 def test_covering_insert_invalidates_cached_miss():
-    table = LpmTable(stride=True, cache=True)
+    table = LpmTable()
     probe = addr("192.0.2.55")
     assert table.lookup(probe) is None
     assert table.lookup(probe) is None  # the miss itself is cached
@@ -226,7 +233,7 @@ def test_covering_insert_invalidates_cached_miss():
 
 
 def test_unrelated_insert_keeps_cache_entries():
-    table = LpmTable(stride=True, cache=True)
+    table = LpmTable()
     table.insert(prefix("10.0.0.0/8"), "ten")
     probe = addr("10.1.2.3")
     assert table.lookup(probe).value == "ten"
@@ -238,30 +245,37 @@ def test_unrelated_insert_keeps_cache_entries():
     assert table.cache_hits == hits + 1
 
 
-def test_cache_is_bounded_lru():
-    table = LpmTable(stride=True, cache=True, cache_size=4)
+def test_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(lpm, "_CACHE_CAP", 4)
+    table = LpmTable()
     table.insert(prefix("0.0.0.0/0"), "d")
     for i in range(10):
         table.lookup(IPv4Address(i))
-    assert table.cache_len() <= 4
+    assert table.cache_len() == 4
+    assert table.cache_misses == 10
+    # Least recently used goes first: the oldest probes were evicted.
+    table.lookup(IPv4Address(9))
+    table.lookup(IPv4Address(0))
+    assert table.cache_hits == 1
+    assert table.cache_misses == 11
 
 
 def test_lpm_table_honours_perf_flags():
-    with perf.flags(stride_lpm=False, lpm_cache=False):
+    with perf.flags(lpm_cache=False):
         table = LpmTable()
-        assert table.cache_len() == 0
-        table.insert(prefix("10.0.0.0/8"), 1)
-        table.lookup(addr("10.0.0.1"))
-        assert table.cache_misses == 0  # no cache layer at all
-    with perf.flags(stride_lpm=True, lpm_cache=True):
-        table = LpmTable()
-        table.insert(prefix("10.0.0.0/8"), 1)
-        table.lookup(addr("10.0.0.1"))
-        assert table.cache_misses == 1
+    table.insert(prefix("10.0.0.0/8"), 1)
+    for _ in range(3):
+        assert table.lookup(addr("10.0.0.1")).value == 1
+    assert table.cache_len() == 0 and table.cache_hits == 0
+    table = LpmTable()
+    table.insert(prefix("10.0.0.0/8"), 1)
+    table.lookup(addr("10.0.0.1"))
+    table.lookup(addr("10.0.0.1"))
+    assert table.cache_len() == 1 and table.cache_hits == 1
 
 
 def test_ipv6_prefixes_supported_by_stride_trie():
-    table = LpmTable(stride=True, cache=True)
+    table = LpmTable()
     table.insert(IPv6Prefix.parse("2804:269c::/32"), "peering")
     table.insert(IPv6Prefix.parse("2804:269c:fe::/48"), "pop")
     assert table.lookup(
@@ -273,12 +287,12 @@ def test_ipv6_prefixes_supported_by_stride_trie():
     assert table.lookup(IPv6Address.parse("2001:db8::1")) is None
 
 
-@pytest.mark.parametrize("kwargs", BACKENDS)
-def test_randomized_differential_against_linear_scan(kwargs):
+@pytest.mark.parametrize("table_cls", BACKENDS)
+def test_randomized_differential_against_linear_scan(table_cls):
     """≥1k random prefixes: the trie agrees with the linear-scan oracle
     through a churn of inserts, removes, and lookups."""
     rng = random.Random(20260806)
-    table = LpmTable(**kwargs)
+    table = table_cls()
     oracle = LinearScanLpm()
     live = []
     for index in range(1200):
@@ -317,23 +331,23 @@ def test_randomized_differential_against_linear_scan(kwargs):
 
 @settings(max_examples=40, deadline=None)
 @given(prefixes_st, st.integers(min_value=0, max_value=(1 << 32) - 1))
-def test_stride_and_binary_backends_agree(pairs, probe):
-    stride = LpmTable(stride=True, cache=False)
-    binary = LpmTable(stride=False, cache=False)
+def test_lookup_all_and_entries_match_naive_reference(pairs, probe):
+    """``lookup_all`` lists every covering prefix shortest first, and
+    ``entries`` lists every stored prefix exactly once."""
+    table = LpmTable()
+    model: dict[IPv4Prefix, int] = {}
     for index, (value, length) in enumerate(pairs):
         p = IPv4Prefix.from_address(IPv4Address(value), length)
-        stride.insert(p, index)
-        binary.insert(p, index)
+        table.insert(p, index)
+        model[p] = index
     address = IPv4Address(probe)
-    got_s = stride.lookup(address)
-    got_b = binary.lookup(address)
-    assert (got_s is None) == (got_b is None)
-    if got_s is not None:
-        assert got_s.prefix == got_b.prefix
-        assert got_s.value == got_b.value
-    all_s = [e.prefix for e in stride.lookup_all(address)]
-    all_b = [e.prefix for e in binary.lookup_all(address)]
-    assert all_s == all_b
-    assert sorted(e.prefix.key() for e in stride.entries()) == sorted(
-        e.prefix.key() for e in binary.entries()
+    covering = sorted(
+        (p for p in model if p.contains_address(address)),
+        key=lambda p: p.length,
+    )
+    assert [(e.prefix, e.value) for e in table.lookup_all(address)] == [
+        (p, model[p]) for p in covering
+    ]
+    assert sorted(e.prefix.key() for e in table.entries()) == sorted(
+        p.key() for p in model
     )

@@ -95,7 +95,7 @@ def test_flood_under_sharded_columnar_pipeline():
     """ISSUE 8 satellite: the overload layer composes with the §6f/§6g
     perf surface — bounded ingress + shedding on top of a two-shard
     fan-out over columnar RIB storage."""
-    with perf.flags(shards=2, rib_columnar=True):
+    with perf.flags(shards=2):
         world, result = _run("ingress-flood", 0)
         assert result.ok, result.format()
         assert result.details["announcements_shed"] >= 1

@@ -53,7 +53,7 @@ def test_backends_byte_identical_on_fulltable():
 
 
 def test_prefix_partition_holds_structural_contract():
-    """The prefix partition may repack UPDATEs (like fanout_batch), so
+    """The prefix partition may repack UPDATEs, so
     backends are held to the structural + change-stream contract."""
     harness = DifferentialHarness(update_count=150, prefix_count=150)
     report = harness.run_backends(

@@ -71,7 +71,7 @@ def test_shard_sweep_detects_wire_divergence():
 
 
 def test_shard_sweep_skips_wire_check_for_prefix_partition():
-    """Prefix partitioning may repack NLRI (like fanout_batch): raw
+    """Prefix partitioning may repack NLRI: raw
     bytes may differ while structure and change streams must not."""
     rigged = _Rigged([_result(wire=b"one"), _result(wire=b"two")])
     report = rigged.run_shards(counts=(1, 2), partition="prefix")
