@@ -10,6 +10,11 @@ incremental best-path).  The committed baseline gates the update and
 prefix rates at ±25%; the differential harness's golden digests prove
 the pipeline's output unchanged.
 
+A sweep leg loads a small pinned table (``SWEEP_PREFIXES``) into 1, 8
+and 32 experiments: the fan-out encodes each UPDATE once and shares one
+path-id table, so the rate must stay flat in the experiment count
+(``sweep_e32 / sweep_e1 >= 0.6``).
+
 ``FULLTABLE_PREFIXES`` / ``FULLTABLE_CHURN`` override the scale for
 quick local runs (per-message rates are only mildly scale-dependent;
 committed baselines use the defaults).
@@ -34,10 +39,17 @@ PREFIXES = int(os.environ.get("FULLTABLE_PREFIXES", "900000"))
 CHURN = int(os.environ.get("FULLTABLE_CHURN", "10000"))
 EXPERIMENTS = 8
 SEED = 20260807
+SWEEP_PREFIXES = 20_000
+SWEEP_EXPERIMENTS = (1, 8, 32)
+SWEEP_MIN_RATIO = 0.6
+# Best of this many interleaved rounds per leg: a 20k-prefix load takes
+# ~1 s, and single loads of one leg varied by up to ~25% on a shared
+# 2-core host.
+SWEEP_ROUNDS = 3
 
 
-def build_node():
-    """A PoP with one upstream feed and eight experiment attachments."""
+def build_node(experiments=EXPERIMENTS):
+    """A PoP with one upstream feed and ``experiments`` attachments."""
     scheduler = Scheduler()
     pop = PointOfPresence(
         scheduler,
@@ -48,7 +60,7 @@ def build_node():
         enforcer_state=EnforcerState(),
     )
     pop.provision_neighbor("upstream", 65010, kind="peer")
-    for index in range(EXPERIMENTS):
+    for index in range(experiments):
         ours, theirs = connect_pair(scheduler, rtt=0.001)
         pop.node.attach_experiment(
             name=f"x{index}", asn=47065,
@@ -69,14 +81,14 @@ def build_node():
     return scheduler, pop
 
 
-def run_ingest():
+def run_ingest(prefixes=PREFIXES, churn=CHURN, experiments=EXPERIMENTS):
     """The ingestion run; returns (elapsed_s, messages, rib_size)."""
     perf.clear_caches()
     gc.collect()
-    scheduler, pop = build_node()
-    generator = FullTableGenerator(prefix_count=PREFIXES, seed=SEED)
+    scheduler, pop = build_node(experiments)
+    generator = FullTableGenerator(prefix_count=prefixes, seed=SEED)
     updates = list(generator.table_updates())
-    updates.extend(generator.churn(CHURN))
+    updates.extend(generator.churn(churn))
     start = time.perf_counter()
     for update in updates:
         pop.node._upstream_update("upstream", update)
@@ -88,12 +100,28 @@ def run_ingest():
     return elapsed, len(updates), rib_size
 
 
+def run_sweep():
+    """Prefixes/s per experiment count: the best of ``SWEEP_ROUNDS``
+    interleaved loads of the pinned sweep table."""
+    best = dict.fromkeys(SWEEP_EXPERIMENTS, 0.0)
+    for _ in range(SWEEP_ROUNDS):
+        for experiments in SWEEP_EXPERIMENTS:
+            elapsed, _messages, rib_size = run_ingest(SWEEP_PREFIXES, 0,
+                                                      experiments)
+            assert rib_size == SWEEP_PREFIXES
+            best[experiments] = max(best[experiments],
+                                    SWEEP_PREFIXES / elapsed)
+    return best
+
+
 def test_fulltable_ingest(benchmark):
     elapsed, messages, rib_size = benchmark.pedantic(
         run_ingest, rounds=1, iterations=1,
     )
     rate = messages / elapsed
     prefixes_per_s = PREFIXES / elapsed
+    sweep = run_sweep()
+    ratio = sweep[SWEEP_EXPERIMENTS[-1]] / sweep[SWEEP_EXPERIMENTS[0]]
 
     rows = [
         ["table prefixes", f"{PREFIXES:,}", "~900k (full DFZ table)"],
@@ -101,6 +129,12 @@ def test_fulltable_ingest(benchmark):
         ["UPDATE messages", f"{messages:,}", "—"],
         ["updates/s", f"{rate:,.0f}", "§6g engine"],
         ["table prefixes/s", f"{prefixes_per_s:,.0f}", "—"],
+    ] + [
+        [f"sweep: {experiments} experiments, prefixes/s", f"{value:,.0f}",
+         f"{SWEEP_PREFIXES:,}-prefix table"]
+        for experiments, value in sweep.items()
+    ] + [
+        ["sweep: e32 / e1", f"{ratio:.2f}", f">= {SWEEP_MIN_RATIO}"],
     ]
     report(
         "fulltable_load",
@@ -113,5 +147,9 @@ def test_fulltable_ingest(benchmark):
         "messages": messages,
         "all_on_updates_per_s": rate,
         "all_on_prefixes_per_s": prefixes_per_s,
+        **{f"sweep_e{experiments}_prefixes_per_s": value
+           for experiments, value in sweep.items()},
+        "sweep_e32_over_e1": ratio,
     })
     assert rib_size > 0
+    assert ratio >= SWEEP_MIN_RATIO, sweep

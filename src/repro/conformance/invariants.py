@@ -191,23 +191,34 @@ def check_vmac_bijectivity(ctx: ConformanceContext) -> InvariantReport:
 
 
 def check_addpath_completeness(ctx: ConformanceContext) -> InvariantReport:
+    """Every neighbor route has an ADD-PATH id toward experiments.
+
+    The ids live in one table per node, shared by every experiment
+    session, so the check is one pass over the node's routes; a missing
+    id is reported once per established experiment it affects.
+    """
     report = InvariantReport("addpath_completeness")
     for pop_name, pop in ctx.pops.items():
         node = pop.node
-        for exp_name, exp in node.experiments.items():
-            session = exp.session
-            if session is None or not session.established:
-                continue
-            for label, neighbor in ctx._neighbors(node):
-                gid = neighbor.virtual.global_id
-                for (prefix, source_id) in neighbor.rib.keys():
-                    report.checked += 1
-                    if (gid, prefix, source_id) not in exp.path_ids:
-                        report.fail(
-                            f"{pop_name}: route {prefix} (path {source_id})"
-                            f" from {label} has no ADD-PATH id toward "
-                            f"experiment {exp_name}"
-                        )
+        established = [
+            name for name, exp in node.experiments.items()
+            if exp.session is not None and exp.session.established
+        ]
+        if not established:
+            continue
+        path_ids = node.path_ids
+        for label, neighbor in ctx._neighbors(node):
+            gid = neighbor.virtual.global_id
+            for (prefix, source_id) in neighbor.rib.keys():
+                report.checked += 1
+                if (gid, prefix, source_id) in path_ids:
+                    continue
+                for exp_name in established:
+                    report.fail(
+                        f"{pop_name}: route {prefix} (path {source_id})"
+                        f" from {label} has no ADD-PATH id toward "
+                        f"experiment {exp_name}"
+                    )
     return report
 
 

@@ -49,14 +49,14 @@ __all__ = [
 class EncodeJob:
     """One pending wire encode, resolved by the control phase.
 
-    ``session`` stays parent-side (it is not picklable and must not
-    cross the fork); ``addpath`` is captured from the session at emit
-    time so the worker encodes exactly the bytes
-    ``session.send_update`` would have produced.
+    ``sessions`` — every session that receives this frame — stays
+    parent-side (sessions are not picklable and must not cross the
+    fork); ``addpath`` is their shared negotiated mode, captured at
+    emit time, so one worker encode serves them all.
     """
 
     key: MergeKey
-    session: object
+    sessions: tuple
     addpath: bool
     update: UpdateMessage
     counter: Optional[str]

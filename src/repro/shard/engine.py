@@ -114,14 +114,13 @@ class FanoutOp:
 
     ``kind`` is one of ``"add_route"`` (payload: a
     :class:`~repro.netsim.stack.KernelRoute`), ``"remove_route"``
-    (payload: a prefix), ``"send"`` (payload: an
-    :class:`~repro.bgp.messages.UpdateMessage`; ``target`` is the
-    session), ``"send_job"`` (payload: an
+    (payload: a prefix), ``"send_job"`` (payload: an
     :class:`~repro.parallel.protocol.EncodeJob` awaiting a backend
     dispatch — never reaches the merge layer) or ``"send_wire"``
-    (payload: the pre-encoded wire frame a backend worker produced).
-    ``counter`` names the :attr:`VbgpNode.counters` key the merge layer
-    bumps when the op applies.
+    (payload: one encoded UPDATE frame).  A send op's ``target`` is the
+    tuple of sessions that all receive the same frame.  ``counter``
+    names the :attr:`VbgpNode.counters` key the merge layer bumps per
+    session the op reaches.
     """
 
     key: MergeKey
@@ -136,9 +135,9 @@ class DirectExecutor:
     """The unsharded executor: apply every effect immediately.
 
     This is the seam the sharded engine replaces — the vBGP fan-out
-    code calls ``ex.add_route`` / ``ex.remove_route`` / ``ex.send`` and
-    never touches the stack or sessions directly, so the exact same
-    pipeline body runs sharded or not.
+    code calls ``ex.add_route`` / ``ex.remove_route`` /
+    ``ex.send_many`` and never touches the stack or sessions directly,
+    so the exact same pipeline body runs sharded or not.
     """
 
     __slots__ = ("node",)
@@ -156,9 +155,17 @@ class DirectExecutor:
         if self.node.stack.remove_route(prefix, table_id=table_id):
             self.node.counters[counter] += 1
 
-    def send(self, session, message, counter: str) -> None:
-        session.send_update(message)
-        self.node.counters[counter] += 1
+    def send_many(self, sessions, message, counter: str) -> None:
+        """Encode ``message`` once per ADD-PATH mode and hand the same
+        frame to every session in ``sessions`` (all established)."""
+        frames = {}
+        for session in sessions:
+            addpath = session.addpath_active
+            frame = frames.get(addpath)
+            if frame is None:
+                frame = frames[addpath] = message.encode(addpath=addpath)
+            session.send_wire(frame)
+        self.node.counters[counter] += len(sessions)
 
 
 class _ShardEmitter:
@@ -200,30 +207,28 @@ class _ShardEmitter:
             table_id=table_id, counter=counter,
         ))
 
-    def send(self, session, message, counter: str) -> None:
-        if self.collect_jobs:
-            # Real backend: defer the encode to a worker.  ``addpath``
-            # is captured *now* so the worker produces exactly the
-            # bytes ``session.send_update`` would have.
+    def send_many(self, sessions, message, counter: str) -> None:
+        """One buffered send op per ADD-PATH mode among ``sessions``.
+
+        A real backend (``collect_jobs``) gets one encode job per
+        (message, mode) however many sessions share it; otherwise the
+        encode is charged to *this shard*, so it parallelizes.
+        """
+        groups: dict = {}
+        for session in sessions:
+            groups.setdefault(session.addpath_active, []).append(session)
+        for addpath, group in groups.items():
             key = self._key()
+            targets = tuple(group)
+            if self.collect_jobs:
+                kind, payload = "send_job", _encode_job_cls()(
+                    key, targets, addpath, message, counter)
+            else:
+                kind, payload = "send_wire", message.encode(addpath=addpath)
             self.worker.buffer.append(FanoutOp(
-                key=key, kind="send_job",
-                payload=_encode_job_cls()(
-                    key=key, session=session,
-                    addpath=session.addpath_active,
-                    update=message, counter=counter,
-                ),
-                target=session, counter=counter,
+                key=key, kind=kind, payload=payload, target=targets,
+                counter=counter,
             ))
-            return
-        # Charge the encode to *this shard*: the merge layer's actual
-        # send hits the wire memo, so the expensive work genuinely
-        # parallelizes across shards.
-        message.encode(addpath=session.addpath_active)
-        self.worker.buffer.append(FanoutOp(
-            key=self._key(), kind="send", payload=message,
-            target=session, counter=counter,
-        ))
 
 
 @dataclass
@@ -322,30 +327,19 @@ class MergeLayer:
         counters = node.counters
         applied = 0
         for op in ops:
-            if op.kind == "send":
-                session = op.target
-                if session is None or not session.established:
-                    # The session died between emit and merge (only
-                    # possible for backlog replayed across a fault);
-                    # the (re-)established handler re-syncs full state.
-                    self.stats.ops_dropped += 1
-                    continue
-                session.send_update(op.payload)
-                if op.counter is not None:
-                    counters[op.counter] += 1
-                applied += 1
-            elif op.kind == "send_wire":
-                # A backend worker already encoded this UPDATE; the
-                # session transmits the frame verbatim (same stats and
-                # liveness semantics as ``send``).
-                session = op.target
-                if session is None or not session.established:
-                    self.stats.ops_dropped += 1
-                    continue
-                session.send_wire(op.payload)
-                if op.counter is not None:
-                    counters[op.counter] += 1
-                applied += 1
+            if op.kind == "send_wire":
+                for session in op.target:
+                    if not session.established:
+                        # The session died between emit and merge (only
+                        # possible for backlog replayed across a fault);
+                        # the (re-)established handler re-syncs full
+                        # state.
+                        self.stats.ops_dropped += 1
+                        continue
+                    session.send_wire(op.payload)
+                    if op.counter is not None:
+                        counters[op.counter] += 1
+                    applied += 1
             elif op.kind == "add_route":
                 stack.add_route(op.payload, table_id=op.table_id)
                 if op.counter is not None:
@@ -552,7 +546,7 @@ class ShardedFanout:
             for job, frame in outcome.completed:
                 worker.buffer.append(FanoutOp(
                     key=job.key, kind="send_wire", payload=frame,
-                    target=job.session, counter=job.counter,
+                    target=job.sessions, counter=job.counter,
                 ))
             replayed_frames = len(outcome.completed)
             self.stats.worker_restarts = getattr(
@@ -692,8 +686,8 @@ class ShardedFanout:
             # still hold sends from earlier (undrained) items in batch
             # mode, so count the tail rather than the whole buffer.
             worker.updates_emitted += sum(
-                1 for op in worker.buffer[buffered_before:]
-                if op.kind in ("send", "send_job")
+                len(op.target) for op in worker.buffer[buffered_before:]
+                if op.kind in ("send_wire", "send_job")
             )
 
     def _dispatch_jobs(self) -> None:

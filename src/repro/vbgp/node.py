@@ -172,6 +172,22 @@ class RemoteNeighbor:
     rib: PathRib = field(default_factory=PathRib)
 
 
+class PathIdTable(dict):
+    """The node's one ADD-PATH id map toward experiments:
+    ``(gid, prefix, source path id) -> path id``.
+
+    Every experiment sees every route with the same rewritten next hop
+    (paper §4.2), so one map and one sequential counter serve them all;
+    each :class:`ExperimentAttachment` holds a reference to it.
+    """
+
+    __slots__ = ("next_id",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.next_id = 1
+
+
 @dataclass
 class ExperimentAttachment:
     """One experiment's presence at this node."""
@@ -186,25 +202,19 @@ class ExperimentAttachment:
     announced: dict[tuple[Prefix, Optional[int]], Route] = field(
         default_factory=dict
     )
-    # Fan-out path-id allocation: (gid, prefix, source path id) -> path id.
-    path_ids: dict[tuple[int, Prefix, Optional[int]], int] = field(
-        default_factory=dict
-    )
-    next_path_id: int = 1
+    # Fan-out path ids: the node's shared table (see PathIdTable).
+    path_ids: PathIdTable = field(default_factory=PathIdTable)
 
     def path_id_for(self, gid: int, prefix: Prefix,
                     source_id: Optional[int]) -> int:
-        path_id = self.path_ids.get((gid, prefix, source_id))
+        """The path id of one route, allocated on first use."""
+        table = self.path_ids
+        key = (gid, prefix, source_id)
+        path_id = table.get(key)
         if path_id is None:
-            path_id = self.path_ids[(gid, prefix, source_id)] = (
-                self.next_path_id
-            )
-            self.next_path_id += 1
+            path_id = table[key] = table.next_id
+            table.next_id += 1
         return path_id
-
-    def release_path_id(self, gid: int, prefix: Prefix,
-                        source_id: Optional[int]) -> Optional[int]:
-        return self.path_ids.pop((gid, prefix, source_id), None)
 
 
 ControlEnforcer = Callable[..., object]
@@ -250,6 +260,8 @@ class VbgpNode:
         self.upstreams: dict[str, UpstreamNeighbor] = {}
         self.remote_neighbors: dict[int, RemoteNeighbor] = {}
         self.experiments: dict[str, ExperimentAttachment] = {}
+        # ADD-PATH ids toward experiments, shared by every attachment.
+        self.path_ids = PathIdTable()
         self.backbone_peers: dict[str, BgpSession] = {}
         # Experiment prefixes (local and remote) for data-plane intercept.
         self.exp_prefixes: LpmTable[dict] = LpmTable()
@@ -499,7 +511,6 @@ class VbgpNode:
         (the ``shards=1`` reference), a shard emitter buffers the ops
         for the merge layer.
         """
-        gid = neighbor.virtual.global_id
         removed: list[tuple[Prefix, Optional[int]]] = []
         for prefix, path_id in update.withdrawn:
             if neighbor.rib.pop((prefix, path_id), None) is not None:
@@ -527,17 +538,9 @@ class VbgpNode:
                 table_id=neighbor.virtual.table_id,
             )
         # Fan out to experiments with the local virtual IP as next hop.
-        # The attribute grouping depends only on the announced routes, so
-        # compute it once here instead of once per experiment.
-        groups = (
-            _group_by_attributes(announced)
-            if announced and self.experiments else None
-        )
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, neighbor.virtual.local_ip, announced,
-                         removed, ex=ex, groups=groups)
+        self._fanout(neighbor.virtual, announced, removed, ex=ex)
         # Propagate over the backbone with the neighbor's global IP.
-        self._backbone_export(gid, announced, removed, ex=ex)
+        self._backbone_export(neighbor.virtual, announced, removed, ex=ex)
 
     def _upstream_established(self, name: str) -> None:
         """A (re-)established upstream: re-export experiment state to it."""
@@ -641,10 +644,8 @@ class VbgpNode:
             if self.stack.remove_route(prefix,
                                        table_id=neighbor.virtual.table_id):
                 self.counters["routes_removed"] += 1
-        gid = neighbor.virtual.global_id
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, neighbor.virtual.local_ip, [], keys)
-        self._backbone_export(gid, [], keys)
+        self._fanout(neighbor.virtual, [], keys)
+        self._backbone_export(neighbor.virtual, [], keys)
 
     def _resilience_event(self, peer: str, event: str, detail: str) -> None:
         tele = self.telemetry
@@ -717,6 +718,7 @@ class VbgpNode:
             prefixes=tuple(prefixes),
             tunnel_ip=tunnel_ip,
             tunnel_mac=tunnel_mac,
+            path_ids=self.path_ids,
         )
         session = BgpSession(
             self.scheduler,
@@ -736,7 +738,7 @@ class VbgpNode:
                 self._experiment_closed(n, reason)
             ),
             # ROUTE-REFRESH (soft reset): resend the full table with the
-            # same stable ADD-PATH ids.
+            # same ids from the node's table.
             on_route_refresh=lambda _s, n=name: self._experiment_up(n),
             telemetry=self.telemetry,
         )
@@ -753,22 +755,13 @@ class VbgpNode:
     def _experiment_up(self, name: str) -> None:
         """Send the full table (every neighbor's routes) to the experiment."""
         exp = self.experiments.get(name)
-        if exp is None:
+        if exp is None or not exp.session.established:
             return
-        for neighbor in self.upstreams.values():
-            routes = list(neighbor.rib.values())
-            if routes:
-                self._fanout(
-                    exp, neighbor.virtual.global_id,
-                    neighbor.virtual.local_ip, routes, [],
-                )
-        for remote in self.remote_neighbors.values():
-            routes = list(remote.rib.values())
-            if routes:
-                self._fanout(
-                    exp, remote.global_id, remote.virtual.local_ip,
-                    routes, [],
-                )
+        for source in (*self.upstreams.values(),
+                       *self.remote_neighbors.values()):
+            if source.rib:
+                self._fanout(source.virtual, list(source.rib.values()), [],
+                             targets=[exp])
 
     def _experiment_closed(self, name: str, _reason: str) -> None:
         exp = self.experiments.pop(name, None)
@@ -787,59 +780,59 @@ class VbgpNode:
 
     def _fanout(
         self,
-        exp: ExperimentAttachment,
-        gid: int,
-        local_vip: IPv4Address,
+        virtual: VirtualNeighbor,
         announced: list[Route],
         removed: list[tuple[Prefix, Optional[int]]],
         ex=None,
-        groups=None,
+        targets: Optional[list[ExperimentAttachment]] = None,
     ) -> None:
-        """Send neighbor-route changes to one experiment (Figure 2a).
+        """Send one neighbor's route changes to experiments (Figure 2a).
 
-        Announced routes sharing one attribute set are coalesced into
-        multi-NLRI UPDATEs (one attribute encode + one message per batch
-        instead of per route).
-        Withdrawals carry no attributes and are always chunked to respect
-        the 4096-byte message ceiling.  ``ex`` is the effect executor
-        (direct by default; a shard emitter when the fan-out is sharded).
-        ``groups`` lets a caller fanning out to many experiments pass the
-        attribute grouping of ``announced`` computed once.
+        Each UPDATE is built once, with routes sharing an attribute set
+        coalesced into multi-NLRI messages under the 4096-byte ceiling,
+        and handed to every established experiment session through the
+        effect executor ``ex`` (direct by default, a shard emitter when
+        sharded); ``targets`` narrows it to one experiment's dump.  A
+        removed route's path id is released even when no experiment is
+        up; a new route's id is allocated only when one is sent it.
         """
         if ex is None:
             ex = self._direct_exec
-        if exp.session is None or not exp.session.established:
-            return
-        withdrawals = []
+        gid = virtual.global_id
+        path_ids = self.path_ids
+        withdrawn = []
         for prefix, source_id in removed:
-            path_id = exp.release_path_id(gid, prefix, source_id)
+            path_id = path_ids.pop((gid, prefix, source_id), None)
             if path_id is not None:
-                withdrawals.append(
-                    Route(prefix=prefix, attributes=_EMPTY_ATTRS,
-                          path_id=path_id)
-                )
-        for chunk in _chunk_routes(withdrawals, _MAX_WITHDRAW_PER_UPDATE):
-            ex.send(exp.session, UpdateMessage.withdraw(chunk),
-                    "updates_to_experiments")
+                withdrawn.append((prefix, path_id))
+        if targets is None:
+            targets = [exp for exp in self.experiments.values()
+                       if exp.session.established]
+        if not targets:
+            return
+        sessions = [exp.session for exp in targets]
+        for chunk in _chunk_routes(withdrawn, _MAX_WITHDRAW_PER_UPDATE):
+            ex.send_many(sessions, UpdateMessage(withdrawn=tuple(chunk)),
+                         "updates_to_experiments")
         if not announced:
             return
-        if groups is None:
-            groups = _group_by_attributes(announced)
-        for attrs, group in groups.items():
-            rewritten_attrs = attrs.with_next_hop(local_vip)
-            batch = [
-                Route(
-                    prefix=route.prefix,
-                    attributes=rewritten_attrs,
-                    path_id=exp.path_id_for(gid, route.prefix,
-                                            route.path_id),
-                )
+        path_id_for = targets[0].path_id_for
+        for attrs, group in _group_by_attributes(announced).items():
+            rewritten_attrs = attrs.with_next_hop(virtual.local_ip)
+            nlri = [
+                (route.prefix, path_id_for(gid, route.prefix, route.path_id))
                 for route in group
             ]
-            limit = _max_nlri_per_update(rewritten_attrs)
-            for chunk in _chunk_routes(batch, limit):
-                ex.send(exp.session, UpdateMessage.announce(chunk),
-                        "updates_to_experiments")
+            # One NLRI always fits: skip the attribute-size budget.
+            limit = (_max_nlri_per_update(rewritten_attrs)
+                     if len(nlri) > 1 else 1)
+            for chunk in _chunk_routes(nlri, limit):
+                ex.send_many(
+                    sessions,
+                    UpdateMessage(attributes=rewritten_attrs,
+                                  nlri=tuple(chunk)),
+                    "updates_to_experiments",
+                )
 
     # -- announcements from experiments ---------------------------------
 
@@ -1017,14 +1010,9 @@ class VbgpNode:
         if session is None or not session.established:
             return
         for neighbor in self.upstreams.values():
-            for group in _group_by_attributes(
-                neighbor.rib.values()
-            ).values():
-                carried = self._backbone_batch(neighbor.virtual, group)
-                limit = _max_nlri_per_update(carried[0].attributes)
-                for chunk in _chunk_routes(carried, limit):
-                    session.send_update(UpdateMessage.announce(chunk))
-                    self.counters["updates_to_backbone"] += 1
+            self._backbone_export(neighbor.virtual,
+                                  list(neighbor.rib.values()), [],
+                                  sessions=[session])
         for exp in self.experiments.values():
             for route in exp.announced.values():
                 session.send_update(UpdateMessage.announce([
@@ -1054,37 +1042,38 @@ class VbgpNode:
             _stable_id(route)
         )
 
-    def _backbone_export(self, gid: int, announced: list[Route],
+    def _backbone_export(self, virtual: VirtualNeighbor,
+                         announced: list[Route],
                          removed: list[tuple[Prefix, Optional[int]]],
-                         ex=None) -> None:
-        if ex is None:
-            ex = self._direct_exec
+                         ex=None, sessions=None) -> None:
+        """Send one local neighbor's route changes over the mesh: each
+        UPDATE is built once for every established backbone peer (or
+        for ``sessions``, a newly joined peer's dump)."""
         if not self.backbone_peers:
             return
-        neighbor = next(
-            (n for n in self.upstreams.values()
-             if n.virtual.global_id == gid), None,
-        )
-        if neighbor is None:
+        if ex is None:
+            ex = self._direct_exec
+        if sessions is None:
+            sessions = [
+                session for session in self.backbone_peers.values()
+                if session.established
+            ]
+        if not sessions:
             return
-        for session in self.backbone_peers.values():
-            if not session.established:
-                continue
-            fakes = []
-            for prefix, source_id in removed:
-                fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
-                fakes.append(fake.with_path_id(
-                    gid * _GID_PATH_ID_BASE + _stable_id(fake)
-                ))
-            for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE):
-                ex.send(session, UpdateMessage.withdraw(chunk),
-                        "updates_to_backbone")
-            for group in _group_by_attributes(announced).values():
-                carried = self._backbone_batch(neighbor.virtual, group)
-                limit = _max_nlri_per_update(carried[0].attributes)
-                for chunk in _chunk_routes(carried, limit):
-                    ex.send(session, UpdateMessage.announce(chunk),
-                            "updates_to_backbone")
+        base = virtual.global_id * _GID_PATH_ID_BASE
+        fakes = []
+        for prefix, _source_id in removed:
+            fake = Route(prefix=prefix, attributes=_EMPTY_ATTRS)
+            fakes.append(fake.with_path_id(base + _stable_id(fake)))
+        for chunk in _chunk_routes(fakes, _MAX_WITHDRAW_PER_UPDATE):
+            ex.send_many(sessions, UpdateMessage.withdraw(chunk),
+                         "updates_to_backbone")
+        for group in _group_by_attributes(announced).values():
+            carried = self._backbone_batch(virtual, group)
+            limit = _max_nlri_per_update(carried[0].attributes)
+            for chunk in _chunk_routes(carried, limit):
+                ex.send_many(sessions, UpdateMessage.announce(chunk),
+                             "updates_to_backbone")
 
     def _backbone_export_experiment(self, exp: ExperimentAttachment,
                                     route: Route, withdraw: bool) -> None:
@@ -1112,9 +1101,7 @@ class VbgpNode:
                 if not remote.rib.has_prefix(prefix):
                     self.stack.remove_route(prefix,
                                             table_id=remote.virtual.table_id)
-                for exp in self.experiments.values():
-                    self._fanout(exp, gid, remote.virtual.local_ip, [],
-                                 [(prefix, path_id)])
+                self._fanout(remote.virtual, [], [(prefix, path_id)])
             else:
                 self._remote_experiment_withdraw(prefix)
         for route in update.routes():
@@ -1148,8 +1135,7 @@ class VbgpNode:
             table_id=remote.virtual.table_id,
         )
         self.counters["routes_installed"] += 1
-        for exp in self.experiments.values():
-            self._fanout(exp, gid, remote.virtual.local_ip, [route], [])
+        self._fanout(remote.virtual, [route], [])
 
     def _remote_experiment_route(self, route: Route) -> None:
         """A remote experiment's prefix: route it across the backbone."""
@@ -1442,7 +1428,7 @@ def _max_nlri_per_update(attributes: PathAttributes) -> int:
     return max(1, budget // _NLRI_MAX_BYTES)
 
 
-def _chunk_routes(routes: list[Route], size: int) -> Iterator[list[Route]]:
+def _chunk_routes(routes: list, size: int) -> Iterator[list]:
     for start in range(0, len(routes), size):
         yield routes[start:start + size]
 

@@ -165,6 +165,38 @@ def test_addpath_completeness_catches_missing_path_id(world):
     assert "no ADD-PATH id" in report.violations[0]
 
 
+def test_addpath_completeness_reports_a_drop_for_every_experiment(world):
+    """The ids are one node-level table: a dropped entry leaves every
+    established experiment without that route, and each is named."""
+    tunnel_ip = IPv4Address.parse("100.125.1.2")
+    ours, theirs = connect_pair(world.scheduler, rtt=0.001)
+    world.pop.node.attach_experiment(
+        name="y", asn=47065,
+        prefixes=(IPv4Prefix.parse("184.164.225.0/24"),),
+        tunnel_ip=tunnel_ip,
+        tunnel_mac=MacAddress.parse("02:aa:00:00:00:03"),
+        channel=ours,
+    )
+    late = BgpSpeaker(
+        world.scheduler, SpeakerConfig(asn=47065, router_id=tunnel_ip)
+    )
+    late.attach_neighbor(
+        NeighborConfig(name="to-pop", peer_asn=None,
+                       local_address=tunnel_ip, addpath=True),
+        theirs,
+    )
+    world.scheduler.run_for(5)
+    context = _context(world)
+    assert CATALOG["addpath_completeness"](context).ok
+    path_ids = world.pop.node.path_ids
+    assert world.pop.node.experiments["y"].path_ids is path_ids
+    path_ids.pop(next(iter(path_ids)))
+    report = CATALOG["addpath_completeness"](context)
+    assert report.violation_count == 2
+    assert [violation.rsplit(" ", 1)[-1]
+            for violation in report.violations] == ["x", "y"]
+
+
 def test_community_propagation_catches_missing_export(world):
     # a neighbor speaker that never received the whitelisted route
     empty = SimpleNamespace(best_route=lambda prefix: None)

@@ -83,7 +83,7 @@ def test_merge_is_permutation_invariant(stream):
                 ops.append(FanoutOp(
                     key=key, kind="send_wire",
                     payload=f"frame-{index}".encode(),
-                    target=session, counter="updates_to_experiments",
+                    target=(session,), counter="updates_to_experiments",
                 ))
             elif kind == "add_route":
                 ops.append(FanoutOp(

@@ -189,7 +189,7 @@ def test_hung_worker_fails_fast_and_recovers():
         )
         job = EncodeJob(
             key=MergeKey(0.0, 0, 0, 0),
-            session=None,
+            sessions=(),
             addpath=False,
             update=UpdateMessage(
                 attributes=attributes,
